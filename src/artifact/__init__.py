@@ -9,33 +9,32 @@ spanning sets, and small brute-force oracles used to cross-check the
 algebra by enumeration.
 """
 
-from .errors import (ArtifactError, BudgetExceeded, ContextMismatch,
-                     DivisionByZero, DivisorNotUnitLeading,
+from .errors import (ArtifactError, BudgetExceeded, CheckFailed,
+                     ContextMismatch, DivisionByZero, DivisorNotUnitLeading,
                      FrobeniusIncompatible, MissingComponent, NotACode,
                      NotBasicIrreducible, NotMonic, NotPrimitive,
                      NotRightDivisible, NotUnit, OrthogonalityCheckFailed,
                      ParseError, ShapeMismatch, TrivialCode)
 from .galois import AutomorphismSpec, FieldElem, RingContext, RingElem
 from .mixedcode import (CodeType, MixedMatrix, MixedWord,
-                        StandardFormResult, cardinality, dual_type,
-                        inner_product, parity_check, scalar_mul,
+                        StandardFormResult, inner_product, parity_check,
                         standard_form)
 from .oracle import (DEFAULT_BUDGET, Classification, EnumeratedCode,
                      brute_force_dual, classify_z4_skew_cyclic,
                      is_skew_cyclic, min_hamming_distance, span_closure)
 from .skewcyclic import (ConditionCheck, ModulePair, SkewGenerators,
                          SpanningSet, ValidationReport, derive_cofactors,
-                         from_pair, module_mul, psi_project,
-                         skew_code_cardinality, spanning_set, theta_shift,
-                         to_pair, validate_generators)
-from .skewpoly import SkewPoly, poly_mod2, right_divides
+                         from_pair, module_mul, skew_code_cardinality,
+                         spanning_set, theta_shift, to_pair,
+                         validate_generators)
+from .skewpoly import SkewPoly, right_divides
 from .textio import (emit_gens, emit_matrix, int_poly_str, parse_element,
                      parse_gens, parse_int_poly, parse_matrix, parse_poly)
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "ArtifactError", "AutomorphismSpec", "BudgetExceeded",
+    "ArtifactError", "AutomorphismSpec", "BudgetExceeded", "CheckFailed",
     "Classification", "CodeType", "ConditionCheck", "ContextMismatch",
     "DEFAULT_BUDGET", "DivisionByZero", "DivisorNotUnitLeading",
     "EnumeratedCode", "FieldElem", "FrobeniusIncompatible",
@@ -44,13 +43,12 @@ __all__ = [
     "NotRightDivisible", "NotUnit", "OrthogonalityCheckFailed",
     "ParseError", "RingContext", "RingElem", "ShapeMismatch",
     "SkewGenerators", "SkewPoly", "SpanningSet", "StandardFormResult",
-    "TrivialCode", "ValidationReport", "brute_force_dual", "cardinality",
-    "classify_z4_skew_cyclic", "derive_cofactors", "dual_type",
-    "emit_gens", "emit_matrix", "from_pair", "inner_product",
-    "int_poly_str", "is_skew_cyclic", "min_hamming_distance",
-    "module_mul", "parity_check", "parse_element", "parse_gens",
-    "parse_int_poly", "parse_matrix", "parse_poly", "poly_mod2",
-    "psi_project", "right_divides", "scalar_mul", "skew_code_cardinality",
-    "span_closure", "spanning_set", "standard_form", "theta_shift",
-    "to_pair", "validate_generators",
+    "TrivialCode", "ValidationReport", "brute_force_dual",
+    "classify_z4_skew_cyclic", "derive_cofactors", "emit_gens",
+    "emit_matrix", "from_pair", "inner_product", "int_poly_str",
+    "is_skew_cyclic", "min_hamming_distance", "module_mul", "parity_check",
+    "parse_element", "parse_gens", "parse_int_poly", "parse_matrix",
+    "parse_poly", "right_divides", "skew_code_cardinality", "span_closure",
+    "spanning_set", "standard_form", "theta_shift", "to_pair",
+    "validate_generators",
 ]

@@ -66,6 +66,10 @@ class NotRightDivisible(ArtifactError):
     """A required exact right division left a nonzero remainder."""
 
 
+class CheckFailed(ArtifactError):
+    """A computed result failed an internal audit or a reference check."""
+
+
 class BudgetExceeded(ArtifactError):
     """An enumeration grew past the configured word budget."""
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
+    CheckFailed,
     ContextMismatch,
     OrthogonalityCheckFailed,
     ShapeMismatch,
@@ -34,12 +35,9 @@ __all__ = [
     "MixedMatrix",
     "CodeType",
     "StandardFormResult",
-    "scalar_mul",
     "inner_product",
     "standard_form",
     "parity_check",
-    "cardinality",
-    "dual_type",
 ]
 
 
@@ -147,11 +145,6 @@ class MixedWord:
         return f"MixedWord({self})"
 
 
-def scalar_mul(gamma: RingElem, w: MixedWord) -> MixedWord:
-    """The module action of a ring scalar on a word."""
-    return w.scale(gamma)
-
-
 def inner_product(u: MixedWord, v: MixedWord) -> RingElem:
     """Quaternary-valued pairing: doubled binary dot plus quaternary dot."""
     u._check(v)
@@ -253,14 +246,6 @@ class CodeType:
 
     def __str__(self):
         return f"({self.r},{self.s};{self.k0};{self.k1},{self.k2})"
-
-
-def cardinality(ct: CodeType, m: int) -> int:
-    return ct.cardinality(m)
-
-
-def dual_type(ct: CodeType) -> CodeType:
-    return ct.dual()
 
 
 @dataclass(frozen=True)
@@ -366,6 +351,8 @@ def standard_form(mat: MixedMatrix) -> StandardFormResult:
 
     # Doubled pivots (k2).  Remaining free rows have zero binary part
     # and doubled quaternary part; reduce their halves over the field.
+    # Each pivot column is cleared from the earlier k2 rows too, so the
+    # k2 block ends up 2I.
     k2_rows, k2_cols = [], []
     while True:
         halved = {i: [b.halve() for b in rows[i][1]] for i in free}
@@ -381,7 +368,7 @@ def standard_form(mat: MixedMatrix) -> StandardFormResult:
             break
         i, col = hit
         scale_row(i, halved[i][col].inverse().lift())
-        for j in free:
+        for j in free + k2_rows:
             if j != i and rows[j][1][col]:
                 subtract(j, rows[j][1][col].halve().lift(), i)
         free.remove(i)
@@ -397,7 +384,7 @@ def standard_form(mat: MixedMatrix) -> StandardFormResult:
 
     for i in free:
         if any(rows[i][0]) or any(rows[i][1]):
-            raise AssertionError("unreduced row survived all phases")
+            raise CheckFailed("a row survived all reduction phases")
 
     k0, k1, k2 = len(k0_rows), len(k1_rows), len(k2_rows)
     bin_perm = tuple(k0_cols + [c for c in range(r) if c not in k0_cols])
@@ -413,7 +400,6 @@ def standard_form(mat: MixedMatrix) -> StandardFormResult:
     g_std = MixedMatrix(ctx, r, s, ordered)
     ct = CodeType(r, s, k0, k1, k2)
 
-    sw = s - k1 - k2
     a01b = tuple(tuple(g_std[i].alpha[k0:]) for i in range(k0))
     t_block = tuple(tuple(b.halve() for b in g_std[i].beta[k1 + k2:])
                     for i in range(k0))
@@ -422,7 +408,6 @@ def standard_form(mat: MixedMatrix) -> StandardFormResult:
     a02 = tuple(tuple(g_std[k0 + i].beta[k1 + k2:]) for i in range(k1))
     a12 = tuple(tuple(b.halve() for b in g_std[k0 + k1 + i].beta[k1 + k2:])
                 for i in range(k2))
-    assert len(a01b) == k0 and len(s_block) == k1 and sw >= 0
     return StandardFormResult(g_std, ct, bin_perm, quat_perm,
                               a01b, t_block, s_block, a01, a02, a12)
 

@@ -8,13 +8,18 @@ lookups translate directly.  Addition of packed words is carry-free on
 the binary region (xor) and a two-bit parallel add on the quaternary
 region, so whole arrays of words combine in a few vector operations.
 
-Spans are built incrementally: the scalar multiples of each generator
-row form a small subgroup, and the partial span is united with its
-translates one row at a time.  Rows with many distinct multiples are
-processed first, which keeps every intermediate buffer at most a small
-multiple of the final span size.  All growth is capped by a word
-budget (default ``2**24``); exceeding it raises
-:class:`~artifact.errors.BudgetExceeded`.
+Spans are built by coset enumeration over a worklist of generator
+rows.  The scalar multiples ``K`` of a row form a subgroup of at most
+``4^m`` words, so the next span ``H + K`` is the disjoint union of the
+translates ``H + k`` over coset representatives ``k`` of
+``K / (H & K)``.  The translates are concatenated and sorted once; no
+deduplication is needed.  The next size ``|H| * |reps|`` is exact
+before anything is allocated, so a word budget (default ``2**24``)
+raises :class:`~artifact.errors.BudgetExceeded` before the buffer
+exists.  For skew closure the shift of each processed row joins the
+worklist when it is not already in the span.  Words of at most 64 bits
+are kept in sorted ``np.uint64`` arrays, wider ones in sorted tuples
+of Python ints; only the translate-and-sort step differs.
 
 Everything here is independent of the structural machinery in
 ``mixedcode``/``skewcyclic``: it only uses element arithmetic, which
@@ -23,8 +28,10 @@ is what makes it usable as a cross-check oracle for those modules.
 
 from __future__ import annotations
 
+import bisect
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -52,10 +59,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 1 << 24
-
-# Above this intermediate size the per-translate union path is used to
-# keep peak memory flat.
-_CONCAT_CAP = 1 << 27
 
 
 class _Codec:
@@ -132,13 +135,7 @@ class EnumeratedCode:
         return len(self.packed)
 
     def __contains__(self, w: MixedWord) -> bool:
-        key = self.codec.encode(w)
-        if isinstance(self.packed, np.ndarray):
-            i = int(np.searchsorted(self.packed, np.uint64(key)))
-            return i < len(self.packed) and int(self.packed[i]) == key
-        import bisect
-        i = bisect.bisect_left(self.packed, key)
-        return i < len(self.packed) and self.packed[i] == key
+        return _member(self.packed, self.codec.encode(w))
 
     def __iter__(self):
         for v in self.packed:
@@ -178,41 +175,10 @@ def _row_shape(rows, ctx=None, r=None, s=None):
     return ctx, r, s
 
 
-def _span_np(codec: _Codec, rows: list, budget: int) -> np.ndarray:
-    span = np.zeros(1, dtype=np.uint64)
-    groups = sorted((codec.multiples(codec.encode(w)) for w in rows),
-                    key=len, reverse=True)
-    for mult in groups:
-        translates = [np.uint64(v) for v in mult if v]
-        if not translates:
-            continue
-        if len(span) * (len(translates) + 1) <= _CONCAT_CAP:
-            parts = [span] + [codec.add(span, v) for v in translates]
-            span = np.unique(np.concatenate(parts))
-        else:
-            for v in translates:
-                span = np.union1d(span, codec.add(span, v))
-                if len(span) > budget:
-                    raise BudgetExceeded(
-                        f"span exceeded the budget of {budget} words")
-        if len(span) > budget:
-            raise BudgetExceeded(f"span exceeded the budget of {budget} words")
-    return span
-
-
-def _span_py(codec: _Codec, rows: list, budget: int) -> tuple:
-    span = {0}
-    groups = sorted((codec.multiples(codec.encode(w)) for w in rows),
-                    key=len, reverse=True)
-    for mult in groups:
-        new = set()
-        for v in mult:
-            if v:
-                new.update(codec.add(x, v) for x in span)
-        span |= new
-        if len(span) > budget:
-            raise BudgetExceeded(f"span exceeded the budget of {budget} words")
-    return tuple(sorted(span))
+def _member(packed, key: int) -> bool:
+    """Whether ``key`` occurs in a sorted array or tuple of packed words."""
+    i = bisect.bisect_left(packed, key)
+    return i < len(packed) and int(packed[i]) == key
 
 
 def _shift_packed(codec: _Codec, autom: AutomorphismSpec, packed: int) -> int:
@@ -226,41 +192,47 @@ def span_closure(rows, autom: Optional[AutomorphismSpec] = None,
                  s: Optional[int] = None) -> EnumeratedCode:
     """Enumerate the module span of some rows, optionally shift-closed.
 
-    With ``skew=True`` (requires ``autom``) generators are augmented by
-    their skew shifts until the span stops growing, so the result is
-    the smallest skew cyclic code containing the rows.
+    With ``skew=True`` (requires ``autom``) the skew shift of every
+    processed row joins the worklist unless the span already holds it,
+    so the result is the smallest skew cyclic code containing the rows.
 
     Raises
     ------
     BudgetExceeded
-        If the span grows past ``budget`` words.
+        Before allocating a span of more than ``budget`` words.
     """
     rows = _as_rows(rows)
     ctx, r, s = _row_shape(rows, ctx, r, s)
     if skew and autom is None:
         raise ContextMismatch("skew closure needs an automorphism")
     codec = _Codec(ctx, r, s)
-    gens = list(rows)
-    while True:
-        span = (_span_np if codec.vector else _span_py)(codec, gens, budget)
-        if not skew:
-            break
-        missing = []
-        for w in gens:
-            sw = theta_shift(w, autom)
-            key = codec.encode(sw)
-            if isinstance(span, np.ndarray):
-                i = int(np.searchsorted(span, np.uint64(key)))
-                found = i < len(span) and int(span[i]) == key
+    span = np.zeros(1, dtype=np.uint64) if codec.vector else (0,)
+    work = deque(codec.encode(w) for w in rows)
+    while work:
+        row = work.popleft()
+        mult = codec.multiples(row)
+        inter = [k for k in mult if _member(span, k)]
+        reps, covered = [], set()
+        for k in mult:
+            if k not in covered:
+                reps.append(k)
+                covered.update(codec.add(k, i) for i in inter)
+        if len(reps) > 1:
+            size = len(span) * len(reps)
+            if size > budget:
+                raise BudgetExceeded(f"span would grow to {size} words, "
+                                     f"past the budget of {budget} words")
+            if codec.vector:
+                span = np.concatenate(
+                    [codec.add(span, np.uint64(k)) for k in reps])
+                span.sort()
             else:
-                import bisect
-                i = bisect.bisect_left(span, key)
-                found = i < len(span) and span[i] == key
-            if not found:
-                missing.append(sw)
-        if not missing:
-            break
-        gens.extend(missing)
+                span = tuple(sorted(codec.add(x, k)
+                                    for k in reps for x in span))
+        if skew:
+            shifted = _shift_packed(codec, autom, row)
+            if not _member(span, shifted):
+                work.append(shifted)
     return EnumeratedCode(codec, span)
 
 

@@ -32,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
-from .errors import ContextMismatch, MissingComponent, NotRightDivisible, ShapeMismatch
+from .errors import (ContextMismatch, DivisionByZero, DivisorNotUnitLeading,
+                     MissingComponent, NotRightDivisible, ShapeMismatch)
 from .galois import AutomorphismSpec
 from .mixedcode import MixedMatrix, MixedWord
 from .skewpoly import SkewPoly
@@ -47,7 +48,6 @@ __all__ = [
     "to_pair",
     "from_pair",
     "module_mul",
-    "psi_project",
     "validate_generators",
     "derive_cofactors",
     "spanning_set",
@@ -128,11 +128,6 @@ def module_mul(fp: SkewPoly, p: ModulePair) -> ModulePair:
     if p.s:
         b = b.reduce_mod_xn(p.s)
     return ModulePair(a, b, p.r, p.s)
-
-
-def psi_project(p: ModulePair) -> SkewPoly:
-    """Forget the binary part; a module map onto the quaternary side."""
-    return p.b
 
 
 @dataclass(frozen=True)
@@ -238,7 +233,7 @@ def _exact(num: SkewPoly, den: SkewPoly):
     """Quotient when den right-divides num, else None."""
     try:
         quo, rem = num.right_divmod(den)
-    except Exception:
+    except (DivisorNotUnitLeading, DivisionByZero):
         return None
     return quo if rem.is_zero else None
 

@@ -25,7 +25,6 @@ from .galois import AutomorphismSpec, FieldElem, RingElem
 __all__ = [
     "SkewPoly",
     "right_divides",
-    "poly_mod2",
 ]
 
 NEG_INF = float("-inf")
@@ -300,8 +299,3 @@ def right_divides(g: SkewPoly, f: SkewPoly) -> bool:
     """True when ``g`` right-divides ``f``, i.e. ``f = q * g`` exactly."""
     _, r = f.right_divmod(g)
     return r.is_zero
-
-
-def poly_mod2(f: SkewPoly) -> SkewPoly:
-    """Reduce a quaternary skew polynomial to its binary image."""
-    return f.mod2()

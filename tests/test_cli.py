@@ -220,6 +220,20 @@ def test_verify_paper_passes():
     assert all(l.startswith("[pass]") for l in lines)
 
 
+def test_verify_paper_fails_under_optimisation():
+    # Checks must not rely on assert, which python -O strips.
+    script = (
+        "import sys\n"
+        "from artifact.galois import AutomorphismSpec\n"
+        "AutomorphismSpec.apply = lambda self, elem: elem\n"
+        "from artifact.cli import main\n"
+        "sys.exit(main(['verify-paper']))\n")
+    res = subprocess.run([sys.executable, "-O", "-c", script],
+                         capture_output=True, text=True)
+    assert res.returncode == 1
+    assert "[FAIL] frobenius maps 1+w to 3*w" in res.stdout
+
+
 def test_verify_paper_json():
     doc = json.loads(run_cli("verify-paper", "--format", "json").stdout)
     assert doc["all_passed"] is True

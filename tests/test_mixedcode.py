@@ -4,7 +4,17 @@ import pytest
 
 from artifact import (CodeType, ContextMismatch, MixedMatrix, MixedWord,
                       ShapeMismatch, inner_product, parity_check,
-                      scalar_mul, span_closure, standard_form)
+                      parse_gens, span_closure, spanning_set, standard_form)
+
+# A case i generator tuple whose spanning set has six doubled pivots.
+CASE_I_GENS = """m: 2
+h: 1+x+x^2
+r: 6
+s: 8
+t: 1
+f: 1+x
+q: 1+w+(1+w)*x+x^2
+"""
 
 
 def worked_matrix(ctx):
@@ -56,7 +66,7 @@ class TestMixedWord:
     def test_scale_reduces_through_mod2_on_binary_side(self, ctx2):
         w = MixedWord.from_ints(ctx2, [1, 1], [1, 0])
         two = ctx2.ring((2,))
-        scaled = scalar_mul(two, w)
+        scaled = w.scale(two)
         assert scaled == MixedWord.from_ints(ctx2, [0, 0], [2, 0])
 
     def test_scale_by_unit_permutes_span(self, ctx2):
@@ -167,6 +177,24 @@ class TestStandardForm:
                                      MixedWord.from_ints(ctx2, [], [0, 1])])
         sf = standard_form(mat)
         assert sf.code_type == CodeType(0, 2, 0, 1, 1)
+
+
+    def test_k2_block_reduced_to_twice_identity(self):
+        _, _, gens = parse_gens(CASE_I_GENS)
+        _, mat = spanning_set(gens)
+        sf = standard_form(mat)
+        ct = sf.code_type
+        ctx = mat.ctx
+        parity_check(sf)
+        two, zero = ctx.ring((2,)), ctx.ring_zero()
+        k2_block = [row.beta[ct.k1:ct.k1 + ct.k2]
+                    for row in sf.g_std.rows[ct.k0 + ct.k1:]]
+        assert ct.k2 >= 2
+        assert k2_block == [tuple(two if i == j else zero
+                                  for j in range(ct.k2))
+                            for i in range(ct.k2)]
+        assert len(span_closure(mat, budget=1 << 22)) == \
+            ct.cardinality(2) == 1 << 22
 
 
 class TestParityCheck:

@@ -1,27 +1,75 @@
 """Enumeration oracles, cross-checked against naive reference code."""
 
 import itertools
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from artifact import (BudgetExceeded, MixedWord, NotACode, ShapeMismatch,
-                      SkewPoly, TrivialCode, brute_force_dual,
-                      classify_z4_skew_cyclic, inner_product,
-                      is_skew_cyclic, min_hamming_distance, span_closure,
-                      theta_shift)
+from artifact import (AutomorphismSpec, BudgetExceeded, MixedWord, NotACode,
+                      RingContext, ShapeMismatch, SkewPoly, TrivialCode,
+                      brute_force_dual, classify_z4_skew_cyclic,
+                      inner_product, is_skew_cyclic, min_hamming_distance,
+                      span_closure, theta_shift)
+
+_CTX2 = RingContext(2, (1, 1, 1))
+_AUT2 = AutomorphismSpec(_CTX2, 1)
+_CTX3 = RingContext(3, (3, 1, 2, 1))
+_AUT3 = AutomorphismSpec(_CTX3, 1)
 
 
 def naive_span(rows):
     """All module combinations, built word by word with set semantics."""
     ctx = rows[0].ctx
     scalars = list(ctx.all_ring_elems())
+    multiples = [[row.scale(c) for c in scalars] for row in rows]
     seen = {}
-    for coeffs in itertools.product(scalars, repeat=len(rows)):
-        acc = rows[0].scale(coeffs[0])
-        for c, row in zip(coeffs[1:], rows[1:]):
-            acc = acc + row.scale(c)
+    for terms in itertools.product(*multiples):
+        acc = terms[0]
+        for t in terms[1:]:
+            acc = acc + t
         seen[str(acc)] = acc
     return seen
+
+
+def shift_orbit(row, autom):
+    """The row and all its iterated skew shifts."""
+    orbit = [row]
+    while (nxt := theta_shift(orbit[-1], autom)) != row:
+        orbit.append(nxt)
+    return orbit
+
+
+@st.composite
+def random_rows(draw, ctx, shapes, max_rows):
+    """One to ``max_rows`` words of one shape with arbitrary entries."""
+    r, s = draw(st.sampled_from(shapes))
+    m = ctx.m
+
+    def word():
+        alpha = [ctx.field_from_index(draw(st.integers(0, (1 << m) - 1)))
+                 for _ in range(r)]
+        beta = [ctx.ring_from_index(draw(st.integers(0, (1 << 2 * m) - 1)))
+                for _ in range(s)]
+        return MixedWord(ctx, alpha, beta)
+
+    return [word() for _ in range(draw(st.integers(1, max_rows)))]
+
+
+@st.composite
+def period_two_row(draw):
+    """A 66-bit word at m=3 whose shift orbit has length at most 2.
+
+    Entries from GF(2) and Z4 are fixed by the Frobenius map, and the
+    pattern repeats with period 2 on both blocks (r=2, s=10).
+    """
+    alpha = draw(st.lists(st.integers(0, 1), min_size=2, max_size=2))
+    beta = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2))
+    return MixedWord.from_ints(_CTX3, alpha, beta * 5)
+
+
+_SMALL_SHAPES = [(0, 2), (0, 3), (1, 1), (1, 2), (2, 2), (2, 3)]
 
 
 def r1s1_rows(ctx):
@@ -79,12 +127,65 @@ class TestSpanClosure:
         assert outside not in code
         assert sorted(str(w) for w in code)[0] == "0 | 0"
 
+    def test_budget_stops_before_allocating(self, ctx2):
+        # Five independent unit rows span 16^5 = 2^20 words; the budget
+        # admits the 2^16-word span of four of them.
+        rows = [MixedWord.from_ints(ctx2, [], [int(i == j) for j in range(5)])
+                for i in range(5)]
+        budget = 1 << 16
+        refused = 1 << 20
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded) as info:
+                span_closure(rows, budget=budget)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * refused // 4
+        assert str(refused) in str(info.value)
+        assert str(budget) in str(info.value)
+
     def test_wide_words_use_python_sets(self, ctx3):
         row = MixedWord.from_ints(ctx3, [1] + [0] * 21, [])
         code = span_closure([row])
         assert isinstance(code.packed, tuple)
         assert len(code) == 8
         assert row in code
+
+
+class TestSpanProperties:
+    """The coset loop against set-based references, on both layouts."""
+
+    @settings(max_examples=30)
+    @given(random_rows(_CTX2, _SMALL_SHAPES, 2))
+    def test_array_span_matches_naive(self, rows):
+        code = span_closure(rows)
+        assert code.codec.vector
+        ref = naive_span(rows).values()
+        assert code.packed_ints() == sorted(code.codec.encode(w) for w in ref)
+
+    @settings(max_examples=4)
+    @given(random_rows(_CTX3, [(2, 10)], 2))
+    def test_tuple_span_matches_naive(self, rows):
+        code = span_closure(rows)
+        assert isinstance(code.packed, tuple)
+        ref = naive_span(rows).values()
+        assert code.packed_ints() == sorted(code.codec.encode(w) for w in ref)
+
+    @settings(max_examples=30)
+    @given(random_rows(_CTX2, _SMALL_SHAPES, 2))
+    def test_array_skew_closure_spans_all_shifts(self, rows):
+        orbits = [w for row in rows for w in shift_orbit(row, _AUT2)]
+        closed = span_closure(rows, autom=_AUT2, skew=True)
+        assert closed == span_closure(orbits)
+
+    @settings(max_examples=10)
+    @given(st.lists(period_two_row(), min_size=1, max_size=2))
+    def test_tuple_skew_closure_spans_all_shifts(self, rows):
+        orbits = [w for row in rows for w in shift_orbit(row, _AUT3)]
+        closed = span_closure(rows, autom=_AUT3, skew=True)
+        assert isinstance(closed.packed, tuple)
+        assert closed == span_closure(orbits)
 
 
 class TestBruteForceDual:

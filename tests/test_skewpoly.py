@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from artifact import (AutomorphismSpec, ContextMismatch, DivisionByZero,
                       DivisorNotUnitLeading, RingContext, SkewPoly,
-                      poly_mod2, right_divides)
+                      right_divides)
 
 
 def ring_poly(autom, max_deg=5):
@@ -122,7 +122,7 @@ def test_reduce_mod_xn_folds_exponents(autom2):
 
 def test_mod2_and_lift(autom2):
     p = SkewPoly.from_ints(autom2, [1, 2, 3, 1])
-    q = poly_mod2(p)
+    q = p.mod2()
     assert not q.ring
     assert q == SkewPoly.from_ints(autom2, [1, 0, 1, 1], False)
     assert q.lift() == SkewPoly.from_ints(autom2, [1, 0, 1, 1], True)
@@ -162,4 +162,4 @@ def test_division_reconstruction(f, g):
 
 @given(ring_poly(_AUT, 4), ring_poly(_AUT, 4))
 def test_mod2_multiplicative(f, g):
-    assert poly_mod2(f * g) == poly_mod2(f) * poly_mod2(g)
+    assert (f * g).mod2() == f.mod2() * g.mod2()
