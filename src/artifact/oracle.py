@@ -8,18 +8,24 @@ lookups translate directly.  Addition of packed words is carry-free on
 the binary region (xor) and a two-bit parallel add on the quaternary
 region, so whole arrays of words combine in a few vector operations.
 
+Every operation runs on one numpy array of packed words; the word width
+only picks its dtype, ``np.uint64`` up to 64 bits and ``object``
+(Python ints) beyond.  Scalar multiples, the skew shift, weights and
+the dual's inner products are one mapping step that sends each
+coordinate through a dense table to a destination offset.  The tables
+(scalar times element, Frobenius powers) are built once per context
+from element arithmetic.  Stored word sets stay a sorted ``np.uint64``
+array, or a sorted tuple of ints for wide words.
+
 Spans are built by coset enumeration over a worklist of generator
 rows.  The scalar multiples ``K`` of a row form a subgroup of at most
 ``4^m`` words, so the next span ``H + K`` is the disjoint union of the
 translates ``H + k`` over coset representatives ``k`` of
-``K / (H & K)``.  The translates are concatenated and sorted once; no
-deduplication is needed.  The next size ``|H| * |reps|`` is exact
-before anything is allocated, so a word budget (default ``2**24``)
-raises :class:`~artifact.errors.BudgetExceeded` before the buffer
-exists.  For skew closure the shift of each processed row joins the
-worklist when it is not already in the span.  Words of at most 64 bits
-are kept in sorted ``np.uint64`` arrays, wider ones in sorted tuples
-of Python ints; only the translate-and-sort step differs.
+``K / (H & K)``, written into the slices of one buffer and sorted once.
+The next size ``|H| * |reps|`` is exact, so a word budget (default
+``2**24``) raises :class:`~artifact.errors.BudgetExceeded` before the
+buffer exists.  For skew closure the shift of each processed row joins
+the worklist when it is not already in the span.
 
 Everything here is independent of the structural machinery in
 ``mixedcode``/``skewcyclic``: it only uses element arithmetic, which
@@ -29,6 +35,7 @@ is what makes it usable as a cross-check oracle for those modules.
 from __future__ import annotations
 
 import bisect
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -44,7 +51,6 @@ from .errors import (
 )
 from .galois import AutomorphismSpec, RingContext
 from .mixedcode import MixedMatrix, MixedWord
-from .skewcyclic import theta_shift
 from .skewpoly import SkewPoly
 
 __all__ = [
@@ -59,10 +65,34 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 1 << 24
+_BLOCK = 1 << 16  # words per mapping step, small enough for the cache
+
+
+@functools.cache
+def _tables(ctx: RingContext) -> dict:
+    """Dense ``np.uint64`` tables over ``ring_index``/``field_index``.
+
+    ``*_scaled[v, g]`` is ``v`` times ring scalar ``g`` (its mod-2 image
+    on the field side), ``*_frob[k, v]`` is ``v`` under the k-th
+    Frobenius power and ``*_nonzero[v]`` is 1 for nonzero ``v``.
+    """
+    phi = AutomorphismSpec(ctx, 1)
+    ring = list(ctx.all_ring_elems())
+    tables = {}
+    for side, elems, index, scalars in (
+            ("ring", ring, ctx.ring_index, ring),
+            ("field", list(ctx.all_field_elems()), ctx.field_index,
+             [g.reduce_mod2() for g in ring])):
+        tables[f"{side}_scaled"] = [[index(g * v) for g in scalars]
+                                    for v in elems]
+        tables[f"{side}_frob"] = [[index(phi.apply_power(v, k))
+                                   for v in elems] for k in range(ctx.m)]
+        tables[f"{side}_nonzero"] = [int(bool(v)) for v in elems]
+    return {name: np.array(t, dtype=np.uint64) for name, t in tables.items()}
 
 
 class _Codec:
-    """Packing layout for one (context, r, s) shape."""
+    """Packing layout and word dtype for one (context, r, s) shape."""
 
     def __init__(self, ctx: RingContext, r: int, s: int):
         m = ctx.m
@@ -70,10 +100,25 @@ class _Codec:
         self.bits = m * r + 2 * m * s
         self.q_width = 2 * m * s
         self.vector = self.bits <= 64
-        low = 0
-        for j in range(m * s):
-            low |= 1 << (2 * j)
-        self.low_mask = low
+        self.dtype = np.uint64 if self.vector else object
+        # Shift amounts and masks share the words' type, so numpy keeps
+        # uint64 arithmetic on uint64 and exact ints on object arrays.
+        word = np.uint64 if self.vector else int
+        self.low_mask = word(sum(1 << (2 * j) for j in range(m * s)))
+        self.one = word(1)
+        quat = [word(2 * m * j) for j in range(s)]
+        binary = [word(self.q_width + m * i) for i in range(r)]
+        self.offsets = quat + binary
+        self.rotated = quat[1:] + quat[:1] + binary[1:] + binary[:1]
+        self.zeros = [word(0)] * (r + s)
+        self.masks = self.per_coord(word((1 << (2 * m)) - 1),
+                                    word((1 << m) - 1))
+        self.tables = {name: t.astype(self.dtype)
+                       for name, t in _tables(ctx).items()}
+
+    def per_coord(self, ring, field) -> list:
+        """One entry per coordinate: quaternary ones first, as packed."""
+        return [ring] * self.s + [field] * self.r
 
     def encode(self, w: MixedWord) -> int:
         if w.ctx != self.ctx or w.r != self.r or w.s != self.s:
@@ -88,28 +133,61 @@ class _Codec:
 
     def decode(self, packed: int) -> MixedWord:
         ctx, m = self.ctx, self.ctx.m
-        beta = [ctx.ring_from_index((packed >> (2 * m * j)) & ((1 << (2 * m)) - 1))
-                for j in range(self.s)]
+        beta = [ctx.ring_from_index(
+            (packed >> (2 * m * j)) & ((1 << (2 * m)) - 1))
+            for j in range(self.s)]
         alpha = [ctx.field_from_index(
             (packed >> (self.q_width + m * i)) & ((1 << m) - 1))
             for i in range(self.r)]
         return MixedWord(ctx, alpha, beta)
 
-    def add(self, a, b):
-        """Packed addition; works on ints and on numpy arrays alike."""
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            low = np.uint64(self.low_mask)
-            return a ^ b ^ ((a & b & low) << np.uint64(1))
-        return a ^ b ^ ((a & b & self.low_mask) << 1)
+    def array(self, words) -> np.ndarray:
+        """Packed words (a stored word set, or any sequence) as an array."""
+        return np.asarray(words, dtype=self.dtype)
 
-    def scale(self, gamma, packed: int) -> int:
-        return self.encode(self.decode(packed).scale(gamma))
+    def store(self, arr: np.ndarray):
+        """The stored layout of a sorted array of packed words."""
+        return arr if self.vector else tuple(arr.tolist())
 
-    def multiples(self, packed: int) -> list:
-        """Distinct scalar multiples of one packed word, as sorted ints."""
-        w = self.decode(packed)
-        seen = {self.encode(w.scale(g)) for g in self.ctx.all_ring_elems()}
-        return sorted(seen)
+    def add(self, a, b, out=None):
+        """Packed addition of arrays or words, optionally into ``out``."""
+        out = np.bitwise_and(a, b, out=out)
+        out &= self.low_mask
+        out <<= self.one
+        out ^= a
+        out ^= b
+        return out
+
+    def map(self, arr: np.ndarray, tables: list, dest: list) -> np.ndarray:
+        """Sum over coordinates ``c`` of ``tables[c][word_c] << dest[c]``.
+
+        Trailing table axes become trailing axes of the result.  Words
+        go through in blocks so that the temporaries stay in cache.
+        """
+        placed = [t << d for t, d in zip(tables, dest)]
+        trailing = tables[0].shape[1:] if tables else ()
+        out = np.zeros(arr.shape + trailing, dtype=self.dtype)
+        col = np.empty(min(len(arr), _BLOCK), dtype=np.intp)
+        for lo in range(0, len(arr), _BLOCK):
+            part, acc = arr[lo:lo + _BLOCK], out[lo:lo + _BLOCK]
+            idx = col[:len(part)]
+            for src, mask, table in zip(self.offsets, self.masks, placed):
+                np.bitwise_and(part >> src, mask, out=idx, casting="unsafe")
+                acc += table[idx]
+        return out
+
+    def multiples(self, word) -> np.ndarray:
+        """Distinct scalar multiples of one packed word, sorted."""
+        tables = self.per_coord(self.tables["ring_scaled"],
+                                self.tables["field_scaled"])
+        return np.unique(self.map(self.array([word]), tables, self.offsets))
+
+    def shift(self, arr: np.ndarray, autom: AutomorphismSpec) -> np.ndarray:
+        """The skew shift of every word: rotate each block, twist entries."""
+        k = autom.t % self.ctx.m
+        tables = self.per_coord(self.tables["ring_frob"][k],
+                                self.tables["field_frob"][k])
+        return self.map(arr, tables, self.rotated)
 
 
 @dataclass(frozen=True)
@@ -135,7 +213,9 @@ class EnumeratedCode:
         return len(self.packed)
 
     def __contains__(self, w: MixedWord) -> bool:
-        return _member(self.packed, self.codec.encode(w))
+        key = self.codec.encode(w)
+        i = bisect.bisect_left(self.packed, key)
+        return i < len(self.packed) and int(self.packed[i]) == key
 
     def __iter__(self):
         for v in self.packed:
@@ -146,10 +226,8 @@ class EnumeratedCode:
             return NotImplemented
         if (self.ctx, self.r, self.s) != (other.ctx, other.r, other.s):
             return False
-        if isinstance(self.packed, np.ndarray):
-            return len(self.packed) == len(other.packed) and \
-                bool(np.array_equal(self.packed, other.packed))
-        return tuple(self.packed) == tuple(other.packed)
+        return bool(np.array_equal(self.codec.array(self.packed),
+                                   other.codec.array(other.packed)))
 
     def packed_ints(self):
         return [int(v) for v in self.packed]
@@ -175,14 +253,10 @@ def _row_shape(rows, ctx=None, r=None, s=None):
     return ctx, r, s
 
 
-def _member(packed, key: int) -> bool:
-    """Whether ``key`` occurs in a sorted array or tuple of packed words."""
-    i = bisect.bisect_left(packed, key)
-    return i < len(packed) and int(packed[i]) == key
-
-
-def _shift_packed(codec: _Codec, autom: AutomorphismSpec, packed: int) -> int:
-    return codec.encode(theta_shift(codec.decode(packed), autom))
+def _isin(span: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which ``keys`` occur in the sorted, nonempty array ``span``."""
+    idx = np.minimum(np.searchsorted(span, keys), len(span) - 1)
+    return span[idx] == keys
 
 
 def span_closure(rows, autom: Optional[AutomorphismSpec] = None,
@@ -206,34 +280,40 @@ def span_closure(rows, autom: Optional[AutomorphismSpec] = None,
     if skew and autom is None:
         raise ContextMismatch("skew closure needs an automorphism")
     codec = _Codec(ctx, r, s)
-    span = np.zeros(1, dtype=np.uint64) if codec.vector else (0,)
-    work = deque(codec.encode(w) for w in rows)
+    span = codec.array([0])
+    work = deque(codec.array([codec.encode(w) for w in rows]))
     while work:
         row = work.popleft()
         mult = codec.multiples(row)
-        inter = [k for k in mult if _member(span, k)]
-        reps, covered = [], set()
-        for k in mult:
-            if k not in covered:
+        inter = mult[_isin(span, mult)]
+        reps = []
+        covered = np.zeros(len(mult), dtype=bool)
+        for i, k in enumerate(mult):
+            if not covered[i]:
                 reps.append(k)
-                covered.update(codec.add(k, i) for i in inter)
+                covered[np.searchsorted(mult, codec.add(inter, k))] = True
         if len(reps) > 1:
-            size = len(span) * len(reps)
+            n = len(span)
+            size = n * len(reps)
             if size > budget:
                 raise BudgetExceeded(f"span would grow to {size} words, "
                                      f"past the budget of {budget} words")
-            if codec.vector:
-                span = np.concatenate(
-                    [codec.add(span, np.uint64(k)) for k in reps])
-                span.sort()
-            else:
-                span = tuple(sorted(codec.add(x, k)
-                                    for k in reps for x in span))
+            grown = np.empty(size, dtype=codec.dtype)
+            for i, k in enumerate(reps):
+                codec.add(span, k, out=grown[i * n:(i + 1) * n])
+            grown.sort()
+            span = grown
         if skew:
-            shifted = _shift_packed(codec, autom, row)
-            if not _member(span, shifted):
-                work.append(shifted)
-    return EnumeratedCode(codec, span)
+            shifted = codec.shift(codec.array([row]), autom)
+            if not _isin(span, shifted)[0]:
+                work.append(shifted[0])
+    return EnumeratedCode(codec, codec.store(span))
+
+
+def _lanes(v, m: int, width: int, lane: int):
+    """Move the ``m`` coefficients of ``width`` bits in ``v`` to lanes."""
+    mask = (1 << width) - 1
+    return sum(((v >> (width * k)) & mask) << (lane * k) for k in range(m))
 
 
 def brute_force_dual(code, budget: int = DEFAULT_BUDGET) -> EnumeratedCode:
@@ -245,7 +325,7 @@ def brute_force_dual(code, budget: int = DEFAULT_BUDGET) -> EnumeratedCode:
     """
     code = _ensure_enumerated(code)
     codec = code.codec
-    ctx, m = codec.ctx, codec.ctx.m
+    m, s = codec.ctx.m, codec.s
     ambient = 1 << codec.bits
     if ambient > budget:
         raise BudgetExceeded(
@@ -253,60 +333,26 @@ def brute_force_dual(code, budget: int = DEFAULT_BUDGET) -> EnumeratedCode:
     if not codec.vector:
         raise BudgetExceeded("ambient space too wide to enumerate")
 
+    # Each product coefficient gets a lane of 64 // m bits, wide enough
+    # that summing one term per coordinate cannot carry into the next
+    # lane; the inner product vanishes when every lane is 0 mod 4.
+    lane = 64 // m
+    ring_terms = _lanes(codec.tables["ring_scaled"].T, m, 2, lane)
+    # 2 * lift(f): the doubled field product, lane bit 1 per coefficient.
+    field_terms = _lanes(codec.tables["field_scaled"].T, m, 1, lane) << 1
+    mod4 = np.uint64(_lanes((1 << (2 * m)) - 1, m, 2, lane))
+
     survivors = np.arange(ambient, dtype=np.uint64)
-    rmask = np.uint64((1 << (2 * m)) - 1)
-    fmask = np.uint64((1 << m) - 1)
-    # Low bits of the coefficient pairs of a single ring element: the
-    # accumulated inner product lives in the bottom 2m bits.
-    elem_low = np.uint64(sum(1 << (2 * c) for c in range(m)))
-    # 2 * lift(f): field bit i becomes ring bit 2i+1.
-    lift2 = np.zeros(1 << m, dtype=np.uint64)
-    for idx in range(1 << m):
-        v = 0
-        for i in range(m):
-            if (idx >> i) & 1:
-                v |= 1 << (2 * i + 1)
-        lift2[idx] = v
-
-    def mul_row_ring(cidx: int) -> np.ndarray:
-        c = ctx.ring_from_index(cidx)
-        return np.array([ctx.ring_index(c * ctx.ring_from_index(v))
-                         for v in range(1 << (2 * m))], dtype=np.uint64)
-
-    def mul_row_field(cidx: int) -> np.ndarray:
-        c = ctx.field_from_index(cidx)
-        return np.array([ctx.field_index(c * ctx.field_from_index(v))
-                         for v in range(1 << m)], dtype=np.uint64)
-
-    ring_rows: dict = {}
-    field_rows: dict = {}
-    for u in code.packed_ints():
+    for u in code.packed:
         if not u:
             continue
-        racc = np.zeros(len(survivors), dtype=np.uint64)
-        for j in range(codec.s):
-            cidx = (u >> (2 * m * j)) & ((1 << (2 * m)) - 1)
-            if not cidx:
-                continue
-            if cidx not in ring_rows:
-                ring_rows[cidx] = mul_row_ring(cidx)
-            col = (survivors >> np.uint64(2 * m * j)) & rmask
-            term = ring_rows[cidx][col]
-            racc = racc ^ term ^ ((racc & term & elem_low) << np.uint64(1))
-        facc = np.zeros(len(survivors), dtype=np.uint64)
-        for i in range(codec.r):
-            cidx = (u >> (codec.q_width + m * i)) & ((1 << m) - 1)
-            if not cidx:
-                continue
-            if cidx not in field_rows:
-                field_rows[cidx] = mul_row_field(cidx)
-            col = (survivors >> np.uint64(codec.q_width + m * i)) & fmask
-            facc ^= field_rows[cidx][col]
-        tot = lift2[facc]
-        tot = racc ^ tot ^ ((racc & tot & elem_low) << np.uint64(1))
-        survivors = survivors[tot == 0]
-        if len(survivors) == 0:
-            break
+        cols = [int((u >> src) & mask)
+                for src, mask in zip(codec.offsets, codec.masks)]
+        # A field entry acts as its lift, the ring scalar with its bits.
+        tables = [ring_terms[c] for c in cols[:s]] + \
+            [field_terms[_lanes(c, m, 1, 2)] for c in cols[s:]]
+        tot = codec.map(survivors, tables, codec.zeros)
+        survivors = survivors[(tot & mod4) == 0]
     return EnumeratedCode(codec, survivors)
 
 
@@ -316,12 +362,8 @@ def _ensure_enumerated(code, ctx=None, r=None, s=None) -> EnumeratedCode:
     rows = _as_rows(code)
     ctx, r, s = _row_shape(rows, ctx, r, s)
     codec = _Codec(ctx, r, s)
-    keys = sorted({codec.encode(w) for w in rows})
-    if codec.vector:
-        packed = np.array(keys, dtype=np.uint64)
-    else:
-        packed = tuple(keys)
-    return EnumeratedCode(codec, packed)
+    keys = np.unique(codec.array([codec.encode(w) for w in rows]))
+    return EnumeratedCode(codec, codec.store(keys))
 
 
 def is_skew_cyclic(code, autom: AutomorphismSpec) -> bool:
@@ -334,29 +376,8 @@ def is_skew_cyclic(code, autom: AutomorphismSpec) -> bool:
     codec = code.codec
     if autom.ctx != codec.ctx:
         raise ContextMismatch("automorphism from a different context")
-    m = codec.ctx.m
-    if not isinstance(code.packed, np.ndarray):
-        members = set(code.packed)
-        return all(_shift_packed(codec, autom, v) in members
-                   for v in code.packed)
-    arr = code.packed
-    theta_r = np.array(
-        [codec.ctx.ring_index(autom.apply(codec.ctx.ring_from_index(v)))
-         for v in range(1 << (2 * m))], dtype=np.uint64)
-    theta_f = np.array(
-        [codec.ctx.field_index(autom.apply(codec.ctx.field_from_index(v)))
-         for v in range(1 << m)], dtype=np.uint64)
-    shifted = np.zeros(len(arr), dtype=np.uint64)
-    rmask = np.uint64((1 << (2 * m)) - 1)
-    fmask = np.uint64((1 << m) - 1)
-    for j in range(codec.s):
-        col = (arr >> np.uint64(2 * m * j)) & rmask
-        dest = (j + 1) % codec.s
-        shifted |= theta_r[col] << np.uint64(2 * m * dest)
-    for i in range(codec.r):
-        col = (arr >> np.uint64(codec.q_width + m * i)) & fmask
-        dest = (i + 1) % codec.r
-        shifted |= theta_f[col] << np.uint64(codec.q_width + m * dest)
+    arr = codec.array(code.packed)
+    shifted = codec.shift(arr, autom)
     shifted.sort()
     return bool(np.array_equal(shifted, arr))
 
@@ -369,11 +390,6 @@ class Classification:
     g: Optional[SkewPoly] = None
     a: Optional[SkewPoly] = None
     q: Optional[SkewPoly] = None
-
-
-def _word_to_ring_poly(codec: _Codec, autom: AutomorphismSpec, packed: int):
-    w = codec.decode(packed)
-    return SkewPoly(autom, w.beta, True)
 
 
 def classify_z4_skew_cyclic(code, autom: AutomorphismSpec,
@@ -414,7 +430,8 @@ def classify_z4_skew_cyclic(code, autom: AutomorphismSpec,
     if not is_skew_cyclic(code, autom):
         raise NotACode("the set is not closed under the skew shift")
 
-    polys = [(_word_to_ring_poly(codec, autom, v), v) for v in members if v]
+    polys = [(SkewPoly(autom, codec.decode(v).beta, True), v)
+             for v in members if v]
     degs = [p.degree for p, _ in polys]
     min_deg = min(degs)
     has_monic = any(p.lead.is_unit() for p, _ in polys)
@@ -477,29 +494,10 @@ def min_hamming_distance(code) -> int:
     """Smallest number of nonzero coordinates over the nonzero words."""
     code = _ensure_enumerated(code)
     codec = code.codec
-    m = codec.ctx.m
-    if isinstance(code.packed, np.ndarray):
-        arr = code.packed
-        if len(arr) < 2:
-            raise TrivialCode("no nonzero words")
-        weights = np.zeros(len(arr), dtype=np.uint32)
-        rmask = np.uint64((1 << (2 * m)) - 1)
-        fmask = np.uint64((1 << m) - 1)
-        for j in range(codec.s):
-            col = (arr >> np.uint64(2 * m * j)) & rmask
-            weights += (col != 0)
-        for i in range(codec.r):
-            col = (arr >> np.uint64(codec.q_width + m * i)) & fmask
-            weights += (col != 0)
-        nz = weights[arr != 0]
-        return int(nz.min())
-    best = None
-    for v in code.packed:
-        if not v:
-            continue
-        w = codec.decode(v)
-        wt = sum(1 for a in w.alpha if a) + sum(1 for b in w.beta if b)
-        best = wt if best is None else min(best, wt)
-    if best is None:
+    arr = codec.array(code.packed)
+    arr = arr[np.searchsorted(arr, 1):]  # sorted: only the first can be 0
+    if len(arr) == 0:
         raise TrivialCode("no nonzero words")
-    return best
+    tables = codec.per_coord(codec.tables["ring_nonzero"],
+                             codec.tables["field_nonzero"])
+    return int(codec.map(arr, tables, codec.zeros).min())

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact import (AutomorphismSpec, BudgetExceeded, MixedWord, NotACode,
-                      RingContext, ShapeMismatch, SkewPoly, TrivialCode,
-                      brute_force_dual, classify_z4_skew_cyclic,
-                      inner_product, is_skew_cyclic, min_hamming_distance,
-                      span_closure, theta_shift)
+from artifact import (AutomorphismSpec, BudgetExceeded, MixedMatrix,
+                      MixedWord, NotACode, RingContext, ShapeMismatch,
+                      SkewPoly, TrivialCode, brute_force_dual,
+                      classify_z4_skew_cyclic, inner_product, is_skew_cyclic,
+                      min_hamming_distance, parity_check, span_closure,
+                      standard_form, theta_shift)
 
 _CTX2 = RingContext(2, (1, 1, 1))
 _AUT2 = AutomorphismSpec(_CTX2, 1)
@@ -70,6 +71,21 @@ def period_two_row(draw):
 
 
 _SMALL_SHAPES = [(0, 2), (0, 3), (1, 1), (1, 2), (2, 2), (2, 3)]
+# Shapes at m=3 that pack into at most 64 bits.
+_M3_SHAPES = [(0, 1), (0, 2), (1, 1), (2, 1), (1, 2)]
+
+
+def wide_rows(ctx):
+    """Two 66-bit words at m=3 (r=2, s=10) with a small skew closure.
+
+    The quaternary block has period 2 and entries in 2R, the binary
+    block holds any pair, so every closure stays within 2^12 words.
+    """
+    xi = ctx.field((0, 1))
+    two_xi = ctx.ring((0, 2))
+    zero, two = ctx.ring_zero(), ctx.ring((2,))
+    return [MixedWord(ctx, [xi, ctx.field_zero()], [two_xi, zero] * 5),
+            MixedWord(ctx, [ctx.field_one(), xi], [zero, two] * 5)]
 
 
 def r1s1_rows(ctx):
@@ -187,6 +203,16 @@ class TestSpanProperties:
         assert isinstance(closed.packed, tuple)
         assert closed == span_closure(orbits)
 
+    @settings(max_examples=12)
+    @given(random_rows(_CTX3, _M3_SHAPES, 2), st.sampled_from([1, 2]))
+    def test_m3_skew_closure_spans_all_shifts(self, rows, t):
+        autom = AutomorphismSpec(_CTX3, t)
+        orbits = [w for row in rows for w in shift_orbit(row, autom)]
+        closed = span_closure(rows, autom=autom, skew=True)
+        assert closed.codec.vector
+        assert closed == span_closure(orbits)
+        assert is_skew_cyclic(closed, autom)
+
 
 class TestBruteForceDual:
     def test_matches_inner_product_filter(self, ctx2):
@@ -218,6 +244,23 @@ class TestBruteForceDual:
         with pytest.raises(BudgetExceeded):
             brute_force_dual(code, budget=10)
 
+    @settings(max_examples=10)
+    @given(random_rows(_CTX3, [(0, 1), (1, 1), (2, 1), (0, 2)], 2))
+    def test_m3_matches_parity_check_span(self, rows):
+        mat = MixedMatrix.from_rows(rows)
+        sf = standard_form(mat)
+        permuted = mat.permute_columns(sf.bin_perm, sf.quat_perm)
+        code = span_closure(list(permuted.rows))
+        dual = span_closure(list(parity_check(sf).rows), ctx=_CTX3,
+                            r=mat.r, s=mat.s)
+        assert brute_force_dual(code) == dual
+
+    def test_wide_words_exceed_any_budget(self, ctx3):
+        code = span_closure(wide_rows(ctx3))
+        assert not code.codec.vector
+        with pytest.raises(BudgetExceeded):
+            brute_force_dual(code, budget=1 << 70)
+
 
 class TestSkewCyclicPredicate:
     def test_shift_closed_span(self, ctx2, autom2):
@@ -234,6 +277,18 @@ class TestSkewCyclicPredicate:
         row = MixedWord.from_ints(ctx2, [1, 1], [2, 0])
         code = span_closure([row], autom=autom2, skew=True)
         assert is_skew_cyclic(code, autom2)
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_wide_words_agree_with_shift_membership(self, ctx3, t):
+        autom = AutomorphismSpec(ctx3, t)
+        rows = wide_rows(ctx3)
+        closed = span_closure(rows, autom=autom, skew=True)
+        opened = span_closure(rows)
+        assert isinstance(closed.packed, tuple)
+        for code, expect in ((closed, True), (opened, False)):
+            members = all(theta_shift(w, autom) in code for w in code)
+            assert members is expect
+            assert is_skew_cyclic(code, autom) is expect
 
 
 class TestClassifier:
@@ -327,3 +382,19 @@ class TestMinimumDistance:
         code = span_closure([], ctx=ctx2, r=1, s=1)
         with pytest.raises(TrivialCode):
             min_hamming_distance(code)
+
+    def test_single_word_on_both_layouts(self, ctx2, ctx3):
+        narrow = MixedWord.from_ints(ctx2, [1], [1])
+        wide = MixedWord.from_ints(ctx3, [1, 1], [1] + [0] * 9)
+        assert min_hamming_distance([narrow]) == 2
+        assert min_hamming_distance([wide]) == 3
+        with pytest.raises(TrivialCode):
+            min_hamming_distance([wide.scale(ctx3.ring_zero())])
+
+    def test_wide_matches_exhaustive_scan(self, ctx3):
+        code = span_closure(wide_rows(ctx3))
+        assert isinstance(code.packed, tuple)
+        best = min(
+            sum(1 for a in w.alpha if a) + sum(1 for b in w.beta if b)
+            for w in code if not w.is_zero)
+        assert min_hamming_distance(code) == best
