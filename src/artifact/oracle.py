@@ -25,7 +25,16 @@ translates ``H + k`` over coset representatives ``k`` of
 The next size ``|H| * |reps|`` is exact, so a word budget (default
 ``2**24``) raises :class:`~artifact.errors.BudgetExceeded` before the
 buffer exists.  For skew closure the shift of each processed row joins
-the worklist when it is not already in the span.
+the worklist when it is not already in the span.  The rows that grew
+the span are kept as the code's generators.
+
+The dual is filtered against those generators alone.  The pairing
+``<u, v> = 2 lift(sum alpha alpha') + sum beta beta'`` is
+GR(4,m)-bilinear: ``2 lift`` depends only on the residue, so
+``<lambda u, v> = lambda <u, v>`` for every ring scalar ``lambda``, and
+a word orthogonal to every generator is orthogonal to every codeword.
+The filter still scans the whole ambient space with element arithmetic
+and never consults ``parity_check``, so it stays a witness for it.
 
 Everything here is independent of the structural machinery in
 ``mixedcode``/``skewcyclic``: it only uses element arithmetic, which
@@ -192,10 +201,16 @@ class _Codec:
 
 @dataclass(frozen=True)
 class EnumeratedCode:
-    """An explicit, sorted word set together with its packing."""
+    """An explicit, sorted word set together with its packing.
+
+    ``gens`` holds packed words that generate the set as a
+    GR(4,m)-module: the rows that grew a span, or every word of a set
+    that was not built as one.
+    """
 
     codec: _Codec
     packed: object  # sorted np.uint64 array, or sorted tuple of ints
+    gens: np.ndarray  # in the codec's dtype
 
     @property
     def ctx(self) -> RingContext:
@@ -228,9 +243,6 @@ class EnumeratedCode:
             return False
         return bool(np.array_equal(self.codec.array(self.packed),
                                    other.codec.array(other.packed)))
-
-    def packed_ints(self):
-        return [int(v) for v in self.packed]
 
 
 def _as_rows(rows) -> list:
@@ -269,6 +281,8 @@ def span_closure(rows, autom: Optional[AutomorphismSpec] = None,
     With ``skew=True`` (requires ``autom``) the skew shift of every
     processed row joins the worklist unless the span already holds it,
     so the result is the smallest skew cyclic code containing the rows.
+    The rows that grew the span, shifted ones included, become the
+    result's ``gens``.
 
     Raises
     ------
@@ -281,6 +295,7 @@ def span_closure(rows, autom: Optional[AutomorphismSpec] = None,
         raise ContextMismatch("skew closure needs an automorphism")
     codec = _Codec(ctx, r, s)
     span = codec.array([0])
+    gens = []
     work = deque(codec.array([codec.encode(w) for w in rows]))
     while work:
         row = work.popleft()
@@ -303,11 +318,12 @@ def span_closure(rows, autom: Optional[AutomorphismSpec] = None,
                 codec.add(span, k, out=grown[i * n:(i + 1) * n])
             grown.sort()
             span = grown
+            gens.append(row)
         if skew:
             shifted = codec.shift(codec.array([row]), autom)
             if not _isin(span, shifted)[0]:
                 work.append(shifted[0])
-    return EnumeratedCode(codec, codec.store(span))
+    return EnumeratedCode(codec, codec.store(span), codec.array(gens))
 
 
 def _lanes(v, m: int, width: int, lane: int):
@@ -319,9 +335,14 @@ def _lanes(v, m: int, width: int, lane: int):
 def brute_force_dual(code, budget: int = DEFAULT_BUDGET) -> EnumeratedCode:
     """All ambient words orthogonal to every codeword.
 
-    Filters the full ambient space word by word against the code, so
-    it is deliberately independent of the parity-check construction.
-    The ambient size ``2^(m(r+2s))`` must fit the budget.
+    Filters the full ambient space against the code's ``gens``, one
+    pass per generator.  The pairing is GR(4,m)-bilinear (``2 lift``
+    depends only on the residue, so ``<lambda u, v> = lambda <u, v>``),
+    hence orthogonality to the generators is orthogonality to the
+    module they span.  Only element arithmetic is used, never the
+    parity-check construction, so the result stays an independent
+    witness for it.  The ambient size ``2^(m(r+2s))`` must fit the
+    budget.
     """
     code = _ensure_enumerated(code)
     codec = code.codec
@@ -343,7 +364,7 @@ def brute_force_dual(code, budget: int = DEFAULT_BUDGET) -> EnumeratedCode:
     mod4 = np.uint64(_lanes((1 << (2 * m)) - 1, m, 2, lane))
 
     survivors = np.arange(ambient, dtype=np.uint64)
-    for u in code.packed:
+    for u in code.gens:
         if not u:
             continue
         cols = [int((u >> src) & mask)
@@ -353,7 +374,7 @@ def brute_force_dual(code, budget: int = DEFAULT_BUDGET) -> EnumeratedCode:
             [field_terms[_lanes(c, m, 1, 2)] for c in cols[s:]]
         tot = codec.map(survivors, tables, codec.zeros)
         survivors = survivors[(tot & mod4) == 0]
-    return EnumeratedCode(codec, survivors)
+    return EnumeratedCode(codec, survivors, survivors)
 
 
 def _ensure_enumerated(code, ctx=None, r=None, s=None) -> EnumeratedCode:
@@ -363,7 +384,7 @@ def _ensure_enumerated(code, ctx=None, r=None, s=None) -> EnumeratedCode:
     ctx, r, s = _row_shape(rows, ctx, r, s)
     codec = _Codec(ctx, r, s)
     keys = np.unique(codec.array([codec.encode(w) for w in rows]))
-    return EnumeratedCode(codec, codec.store(keys))
+    return EnumeratedCode(codec, codec.store(keys), keys)
 
 
 def is_skew_cyclic(code, autom: AutomorphismSpec) -> bool:
@@ -422,66 +443,62 @@ def classify_z4_skew_cyclic(code, autom: AutomorphismSpec,
         raise ContextMismatch("automorphism from a different context")
     ctx, s = codec.ctx, codec.s
 
-    members = code.packed_ints()
-    if members == [0]:
+    arr = codec.array(code.packed)
+    if len(arr) == 1 and arr[0] == 0:
         raise TrivialCode("the zero code has no canonical generator")
-    if 0 not in members:
+    if len(arr) == 0 or arr[0] != 0:  # sorted: zero would come first
         raise NotACode("a code must contain the zero word")
     if not is_skew_cyclic(code, autom):
         raise NotACode("the set is not closed under the skew shift")
 
-    polys = [(SkewPoly(autom, codec.decode(v).beta, True), v)
-             for v in members if v]
-    degs = [p.degree for p, _ in polys]
-    min_deg = min(degs)
-    has_monic = any(p.lead.is_unit() for p, _ in polys)
-    monic_min = any(p.lead.is_unit() for p, _ in polys
-                    if p.degree == min_deg)
+    # Per nonzero word: its degree (highest nonzero coordinate), whether
+    # its leading coefficient is a unit (has an odd coefficient), and
+    # whether every coefficient is even.  Only the words the chosen case
+    # needs are decoded.
+    words = arr[1:]
+    odd = words & codec.low_mask
+    deg = np.zeros(len(words), dtype=np.intp)
+    unit = np.zeros(len(words), dtype=bool)
+    for j, (src, mask) in enumerate(zip(codec.offsets, codec.masks)):
+        nonzero = ((words >> src) & mask) != 0
+        deg[nonzero] = j
+        unit[nonzero] = ((odd[nonzero] >> src) & mask) != 0
+    doubled = odd == 0
+
+    def decoded(select) -> list:
+        return [SkewPoly(autom, codec.decode(int(v)).beta, True)
+                for v in words[select]]
 
     def as_word(poly: SkewPoly) -> MixedWord:
         return MixedWord(ctx, [], [poly.coeff(i) for i in range(s)])
 
-    def monic_scaled(p: SkewPoly) -> SkewPoly:
-        return p.lead.inverse() * p
-
     g = a = q = None
-    if not has_monic:
-        case = "i"
-        # Every word is doubled; halve the minimal-degree one.
-        cand = min((p for p, _ in polys if p.degree == min_deg),
-                   key=lambda p: tuple(ctx.ring_index(c) for c in p.coeffs))
-        half = SkewPoly(autom, [c.halve() for c in cand.coeffs], False)
-        half = half.lead.inverse() * half
-        q = half.lift()
-        witness_rows = [as_word((2 * q).reduce_mod_xn(s))]
-    elif monic_min:
-        case = "ii"
-        cand = min((monic_scaled(p) for p, _ in polys
-                    if p.degree == min_deg and p.lead.is_unit()),
+    witness_rows = []
+    if unit.any():
+        dmin = deg[unit].min()
+        case = "ii" if dmin == deg.min() else "iii"
+        cand = min((p.lead.inverse() * p
+                    for p in decoded(unit & (deg == dmin))),
                    key=lambda p: tuple(ctx.ring_index(c) for c in p.coeffs))
         g = cand.mod2().lift()
         a = SkewPoly(autom, [c.halve() for c in (cand - g).coeffs],
                      False).lift()
-        witness_rows = [as_word(cand)]
+        witness_rows.append(as_word(cand))
     else:
-        case = "iii"
-        monics = [monic_scaled(p) for p, _ in polys if p.lead.is_unit()]
-        dmin = min(p.degree for p in monics)
-        cand = min((p for p in monics if p.degree == dmin),
-                   key=lambda p: tuple(ctx.ring_index(c) for c in p.coeffs))
-        g = cand.mod2().lift()
-        a = SkewPoly(autom, [c.halve() for c in (cand - g).coeffs],
-                     False).lift()
-        doubled = [p for p, _ in polys
-                   if all(not c.is_unit() for c in p.coeffs)]
+        case = "i"
+    if case != "ii":
+        # In case i every word is doubled: rotating a unit coefficient to
+        # the top would give a unit-leading word.  In a code the monic
+        # halves of the least-degree doubled words coincide.
+        if not doubled.any():
+            raise NotACode("the set lacks the doubles of its words")
+        hmin = deg[doubled].min()
         halves = [SkewPoly(autom, [c.halve() for c in p.coeffs], False)
-                  for p in doubled]
-        hmin = min(h.degree for h in halves if not h.is_zero)
-        hcand = min((h.lead.inverse() * h for h in halves
-                     if h.degree == hmin),
+                  for p in decoded(doubled & (deg == hmin))]
+        hcand = min((h.lead.inverse() * h for h in halves),
                     key=lambda h: tuple(ctx.field_index(c) for c in h.coeffs))
         q = hcand.lift()
-        witness_rows = [as_word(cand), as_word((2 * q).reduce_mod_xn(s))]
+        witness_rows.append(as_word((2 * q).reduce_mod_xn(s)))
 
     regen = span_closure(witness_rows, autom=autom, skew=True, budget=budget,
                          ctx=ctx, r=0, s=s)

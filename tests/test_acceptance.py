@@ -20,6 +20,7 @@ from artifact import (AutomorphismSpec, CodeType, MixedMatrix, MixedWord,
                       min_hamming_distance, parity_check, parse_poly,
                       right_divides, skew_code_cardinality, span_closure,
                       spanning_set, standard_form, validate_generators)
+from artifact import oracle
 
 _CTX1 = RingContext(1, (1, 1))
 _CTX2 = RingContext(2, (1, 1, 1))
@@ -184,6 +185,20 @@ class TestDualDerivation:
     def test_dual_equals_span_of_single_derived_row(self):
         code = span_closure(list(self.sf.g_std.rows))
         assert brute_force_dual(code) == span_closure([self.derived])
+
+    def test_dual_filters_one_pass_per_generator(self, monkeypatch):
+        code = span_closure(list(worked_matrix().rows))
+        passes = []
+        mapping = oracle._Codec.map
+
+        def counted(codec, *args):
+            passes.append(args)
+            return mapping(codec, *args)
+
+        monkeypatch.setattr(oracle._Codec, "map", counted)
+        assert len(brute_force_dual(code)) == 16
+        assert len(code) == 4096
+        assert len(passes) <= len(code.gens) <= 4
 
     def test_derived_row_blocks(self):
         assert len(self.h) == 1

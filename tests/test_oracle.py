@@ -1,8 +1,11 @@
 """Enumeration oracles, cross-checked against naive reference code."""
 
 import itertools
+import math
 import tracemalloc
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +16,9 @@ from artifact import (AutomorphismSpec, BudgetExceeded, MixedMatrix,
                       classify_z4_skew_cyclic, inner_product, is_skew_cyclic,
                       min_hamming_distance, parity_check, span_closure,
                       standard_form, theta_shift)
+from artifact import oracle
 
+_CTX1 = RingContext(1, (1, 1))
 _CTX2 = RingContext(2, (1, 1, 1))
 _AUT2 = AutomorphismSpec(_CTX2, 1)
 _CTX3 = RingContext(3, (3, 1, 2, 1))
@@ -32,6 +37,83 @@ def naive_span(rows):
             acc = acc + t
         seen[str(acc)] = acc
     return seen
+
+
+def naive_dual(words, ctx, r, s):
+    """Packed ambient words whose inner product with every word is 0."""
+    words = list(words)
+    codec = oracle._Codec(ctx, r, s)
+    zero = ctx.ring_zero()
+    keep = []
+    for alpha in itertools.product(list(ctx.all_field_elems()), repeat=r):
+        for beta in itertools.product(list(ctx.all_ring_elems()), repeat=s):
+            w = MixedWord(ctx, alpha, beta)
+            if all(inner_product(w, u) == zero for u in words):
+                keep.append(codec.encode(w))
+    return sorted(keep)
+
+
+def naive_classify(code, autom):
+    """``(case, g, a, q, regenerates)`` decoded from every nonzero word."""
+    ctx, s = code.ctx, code.s
+    polys = [SkewPoly(autom, w.beta, True) for w in code if not w.is_zero]
+    min_deg = min(p.degree for p in polys)
+    monics = [p.lead.inverse() * p for p in polys if p.lead.is_unit()]
+
+    def ring_key(p):
+        return tuple(ctx.ring_index(c) for c in p.coeffs)
+
+    def halve(p):
+        return SkewPoly(autom, [c.halve() for c in p.coeffs], False)
+
+    def as_word(poly):
+        return MixedWord(ctx, [], [poly.coeff(i) for i in range(s)])
+
+    g = a = q = None
+    rows = []
+    if not monics:
+        case = "i"
+        half = halve(min((p for p in polys if p.degree == min_deg),
+                         key=ring_key))
+        q = (half.lead.inverse() * half).lift()
+    else:
+        dmin = min(p.degree for p in monics)
+        case = "ii" if dmin == min_deg else "iii"
+        cand = min((p for p in monics if p.degree == dmin), key=ring_key)
+        g = cand.mod2().lift()
+        a = halve(cand - g).lift()
+        rows.append(as_word(cand))
+        if case == "iii":
+            halves = [halve(p) for p in polys
+                      if all(not c.is_unit() for c in p.coeffs)]
+            hmin = min(h.degree for h in halves)
+            q = min((h.lead.inverse() * h for h in halves
+                     if h.degree == hmin),
+                    key=lambda h: tuple(ctx.field_index(c)
+                                        for c in h.coeffs)).lift()
+    if q is not None:
+        rows.append(as_word((2 * q).reduce_mod_xn(s)))
+    regen = span_closure(rows, autom=autom, skew=True, ctx=ctx, r=0, s=s)
+    return case, g, a, q, regen == code
+
+
+def krawtchouk(k, i, n, q):
+    """Coefficient of ``X^(n-k) Y^k`` in ``(X + (q-1)Y)^(n-i) (X - Y)^i``."""
+    return sum((-1) ** h * math.comb(i, h) * math.comb(n - i, k - h)
+               * (q - 1) ** (k - h) for h in range(k + 1))
+
+
+def block_weights(code):
+    """Counts of (binary weight, quaternary weight) over the code."""
+    codec = code.codec
+    t = codec.tables
+    words = codec.array(code.packed)
+    ring, field = t["ring_nonzero"], t["field_nonzero"]
+    binary = codec.map(words, codec.per_coord(np.zeros_like(ring), field),
+                       codec.zeros)
+    quaternary = codec.map(words, codec.per_coord(ring, np.zeros_like(field)),
+                           codec.zeros)
+    return Counter(zip(binary.tolist(), quaternary.tolist()))
 
 
 def shift_orbit(row, autom):
@@ -73,6 +155,10 @@ def period_two_row(draw):
 _SMALL_SHAPES = [(0, 2), (0, 3), (1, 1), (1, 2), (2, 2), (2, 3)]
 # Shapes at m=3 that pack into at most 64 bits.
 _M3_SHAPES = [(0, 1), (0, 2), (1, 1), (2, 1), (1, 2)]
+# Shapes whose ambient space has at most 2^10 words, for naive_dual.
+_DUAL_SHAPES = {_CTX2: [(0, 2), (1, 1), (1, 2), (3, 1)],
+                _CTX3: [(0, 1), (1, 1)]}
+_M1_SHAPES = [(0, 3), (1, 2), (2, 3), (3, 4), (2, 6)]
 
 
 def wide_rows(ctx):
@@ -177,16 +263,16 @@ class TestSpanProperties:
     def test_array_span_matches_naive(self, rows):
         code = span_closure(rows)
         assert code.codec.vector
-        ref = naive_span(rows).values()
-        assert code.packed_ints() == sorted(code.codec.encode(w) for w in ref)
+        ref = sorted(code.codec.encode(w) for w in naive_span(rows).values())
+        assert [int(v) for v in code.packed] == ref
 
     @settings(max_examples=4)
     @given(random_rows(_CTX3, [(2, 10)], 2))
     def test_tuple_span_matches_naive(self, rows):
         code = span_closure(rows)
         assert isinstance(code.packed, tuple)
-        ref = naive_span(rows).values()
-        assert code.packed_ints() == sorted(code.codec.encode(w) for w in ref)
+        ref = sorted(code.codec.encode(w) for w in naive_span(rows).values())
+        assert [int(v) for v in code.packed] == ref
 
     @settings(max_examples=30)
     @given(random_rows(_CTX2, _SMALL_SHAPES, 2))
@@ -260,6 +346,64 @@ class TestBruteForceDual:
         assert not code.codec.vector
         with pytest.raises(BudgetExceeded):
             brute_force_dual(code, budget=1 << 70)
+
+
+class TestDualWitnesses:
+    """brute_force_dual against a per-codeword filter and MacWilliams."""
+
+    @settings(max_examples=12)
+    @given(st.data(), st.sampled_from([_CTX2, _CTX3]), st.sampled_from([1, 2]),
+           st.booleans())
+    def test_matches_naive_dual(self, data, ctx, t, skew):
+        rows = data.draw(random_rows(ctx, _DUAL_SHAPES[ctx], 2))
+        code = span_closure(rows, autom=AutomorphismSpec(ctx, t), skew=skew)
+        assert len(code.gens) <= len(code).bit_length()
+        ref = naive_dual(code, ctx, code.r, code.s)
+        assert [int(v) for v in brute_force_dual(code).packed] == ref
+
+    def test_bare_rows_not_closed_under_addition(self, ctx2):
+        rows = [MixedWord.from_ints(ctx2, [1], [1, 0]),
+                MixedWord.from_ints(ctx2, [0], [2, 1])]
+        dual = brute_force_dual(rows)
+        assert [int(v) for v in dual.packed] == naive_dual(rows, ctx2, 1, 2)
+
+    def test_dual_of_dual(self, ctx2):
+        code = span_closure([MixedWord.from_ints(ctx2, [1], [1, 2]),
+                             MixedWord.from_ints(ctx2, [0], [2, 3])])
+        dual = brute_force_dual(code)
+        again = brute_force_dual(dual)
+        assert [int(v) for v in again.packed] == naive_dual(dual, ctx2, 1, 2)
+        assert again == code
+
+    def test_zero_code_has_the_ambient_dual(self, ctx2):
+        code = span_closure([], ctx=ctx2, r=1, s=2)
+        dual = brute_force_dual(code)
+        assert len(dual) == 1 << 10
+        assert [int(v) for v in dual.packed] == naive_dual(code, ctx2, 1, 2)
+
+    @settings(max_examples=15)
+    @given(st.data(), st.sampled_from([_CTX1, _CTX2]))
+    def test_macwilliams_identity(self, data, ctx):
+        """Two-block MacWilliams identity for the enumerated dual.
+
+        ``W_dual(X0, Y0, X1, Y1) = W_C(X0 + (2^m-1)Y0, X0 - Y0,
+        X1 + (4^m-1)Y1, X1 - Y1) / |C|``, where ``W`` counts words by
+        binary and quaternary Hamming weight (Borges, Fernandez-Cordoba,
+        Pujol, Rifa, Villanueva, "Z2Z4-linear codes: generator matrices
+        and duality", Des. Codes Cryptogr. 54 (2010)).
+        """
+        shapes = _M1_SHAPES if ctx.m == 1 else _SMALL_SHAPES
+        code = span_closure(data.draw(random_rows(ctx, shapes, 3)))
+        r, s, m = code.r, code.s, ctx.m
+        weights = block_weights(code)
+        dual_weights = block_weights(brute_force_dual(code))
+        for k in range(r + 1):
+            for l in range(s + 1):
+                transform = sum(
+                    n * krawtchouk(k, i, r, 1 << m)
+                    * krawtchouk(l, j, s, 1 << (2 * m))
+                    for (i, j), n in weights.items())
+                assert transform == len(code) * dual_weights[(k, l)]
 
 
 class TestSkewCyclicPredicate:
@@ -339,6 +483,15 @@ class TestClassifier:
         with pytest.raises(ShapeMismatch):
             classify_z4_skew_cyclic(code, autom2)
 
+    def test_set_without_doubled_words_rejected(self, ctx1, autom1):
+        # Shift closed, but twice (1, 2, 0) is missing; the least-degree
+        # word has a doubled lead, so the set would be case iii.
+        rows = [MixedWord.from_ints(ctx1, [], v)
+                for v in ([0, 0, 0], [1, 2, 0], [0, 1, 2], [2, 0, 1])]
+        assert is_skew_cyclic(rows, autom1)
+        with pytest.raises(NotACode):
+            classify_z4_skew_cyclic(rows, autom1)
+
     def test_zero_code_is_trivial(self, ctx2, autom2):
         code = span_closure([], ctx=ctx2, r=0, s=2)
         with pytest.raises(TrivialCode):
@@ -358,6 +511,83 @@ class TestClassifier:
             regen_rows.append(MixedWord(
                 ctx2, [], [doubled.coeff(i) for i in range(4)]))
         assert span_closure(regen_rows, autom=autom2, skew=True) == code
+
+
+# Classifications recorded before the classifier read degrees from
+# packed words: (m, s, rows, |C|, case, g, a, q), entries and
+# coefficients as context indices, t = 1.
+_PINNED = [
+    (1, 6, [[2, 0, 0, 0, 0, 2]], 32, "i", None, None, [1, 1]),
+    (1, 6, [[1, 2, 0, 0, 0, 3]], 1024, "ii", [1, 1], [], None),
+    (1, 6, [[1, 3, 0, 0, 1, 3]], 512, "iii", [1, 0, 1], [0, 1], [1, 1]),
+    (2, 4, [[10, 2, 0, 8]], 16, "i", None, None, [5, 4, 1]),
+    (2, 4, [[12, 7, 0, 0]], 4096, "ii", [5, 1], [4], None),
+    (2, 4, [[13, 15, 0, 3], [8, 8, 0, 0]], 4096, "iii", [5, 1, 1], [], [1]),
+    (3, 3, [[0, 40, 34]], 64, "i", None, None, [17, 1]),
+    (3, 3, [[10, 53, 43]], 4096, "ii", [17, 1], [16], None),
+    (3, 3, [[48, 0, 14], [34, 2, 0]], 32768, "iii", [21, 1], [], [1]),
+]
+_CTXS = {1: _CTX1, 2: _CTX2, 3: _CTX3}
+
+
+def index_rows(ctx, rows):
+    return [MixedWord(ctx, [], [ctx.ring_from_index(v) for v in row])
+            for row in rows]
+
+
+class TestClassifierPins:
+    @pytest.mark.parametrize("m,s,rows,size,case,g,a,q", _PINNED)
+    def test_pinned_classification(self, m, s, rows, size, case, g, a, q):
+        ctx = _CTXS[m]
+        autom = AutomorphismSpec(ctx, 1)
+        code = span_closure(index_rows(ctx, rows), autom=autom, skew=True)
+        assert len(code) == size
+        cls = classify_z4_skew_cyclic(code, autom)
+
+        def indices(poly):
+            return None if poly is None else [ctx.ring_index(c)
+                                              for c in poly.coeffs]
+        assert (cls.case, indices(cls.g), indices(cls.a),
+                indices(cls.q)) == (case, g, a, q)
+
+    @settings(max_examples=30)
+    @given(st.data(), st.sampled_from([(_CTX1, [3, 4, 5]), (_CTX2, [2, 3]),
+                                       (_CTX3, [2])]),
+           st.sampled_from([1, 2]))
+    def test_matches_decoding_every_word(self, data, ctx_sizes, t):
+        ctx, sizes = ctx_sizes
+        shapes = [(0, s) for s in sizes]
+        two = ctx.ring((2,))
+        rows = [w.scale(two) if data.draw(st.booleans()) else w
+                for w in data.draw(random_rows(ctx, shapes, 2))]
+        autom = AutomorphismSpec(ctx, t)
+        code = span_closure(rows, autom=autom, skew=True)
+        if len(code) == 1:
+            with pytest.raises(TrivialCode):
+                classify_z4_skew_cyclic(code, autom)
+            return
+        case, g, a, q, regenerates = naive_classify(code, autom)
+        if not regenerates:
+            with pytest.raises(NotACode):
+                classify_z4_skew_cyclic(code, autom)
+            return
+        cls = classify_z4_skew_cyclic(code, autom)
+        assert (cls.case, cls.g, cls.a, cls.q) == (case, g, a, q)
+
+    def test_decodes_at_most_one_word_per_scalar(self, monkeypatch):
+        code = span_closure(index_rows(_CTX2, [[12, 7, 0, 0]]), autom=_AUT2,
+                            skew=True)
+        assert len(code) == 4096
+        decodes = []
+        decode = oracle._Codec.decode
+
+        def counted(codec, v):
+            decodes.append(v)
+            return decode(codec, v)
+
+        monkeypatch.setattr(oracle._Codec, "decode", counted)
+        assert classify_z4_skew_cyclic(code, _AUT2).case == "ii"
+        assert len(decodes) <= 4 ** _CTX2.m
 
 
 class TestMinimumDistance:
