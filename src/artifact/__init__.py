@@ -7,21 +7,23 @@ quaternary block.  On top of that sit standard forms, parity-check
 matrices, skew cyclic generator tuples with their cofactors and
 spanning sets, and small brute-force oracles used to cross-check the
 algebra by enumeration.
+
+Only the oracles need numpy.  Their exports are resolved on first
+access (PEP 562), so importing the package, or any of the structural
+modules, does not load :mod:`artifact.oracle` or numpy.
 """
 
-from .errors import (ArtifactError, BudgetExceeded, CheckFailed,
-                     ContextMismatch, DivisionByZero, DivisorNotUnitLeading,
-                     FrobeniusIncompatible, MissingComponent, NotACode,
-                     NotBasicIrreducible, NotMonic, NotPrimitive,
-                     NotRightDivisible, NotUnit, OrthogonalityCheckFailed,
-                     ParseError, ShapeMismatch, TrivialCode)
+from .errors import (DEFAULT_BUDGET, ArtifactError, BudgetExceeded,
+                     CheckFailed, ContextMismatch, DivisionByZero,
+                     DivisorNotUnitLeading, FrobeniusIncompatible,
+                     MissingComponent, NotACode, NotBasicIrreducible,
+                     NotMonic, NotPrimitive, NotRightDivisible, NotUnit,
+                     OrthogonalityCheckFailed, ParseError, ShapeMismatch,
+                     TrivialCode)
 from .galois import AutomorphismSpec, FieldElem, RingContext, RingElem
 from .mixedcode import (CodeType, MixedMatrix, MixedWord,
                         StandardFormResult, inner_product, parity_check,
                         standard_form)
-from .oracle import (DEFAULT_BUDGET, Classification, EnumeratedCode,
-                     brute_force_dual, classify_z4_skew_cyclic,
-                     is_skew_cyclic, min_hamming_distance, span_closure)
 from .skewcyclic import (ConditionCheck, ModulePair, SkewGenerators,
                          SpanningSet, ValidationReport, derive_cofactors,
                          from_pair, module_mul, skew_code_cardinality,
@@ -52,3 +54,20 @@ __all__ = [
     "spanning_set", "standard_form", "theta_shift", "to_pair",
     "validate_generators",
 ]
+
+_ORACLE_EXPORTS = frozenset({
+    "Classification", "EnumeratedCode", "brute_force_dual",
+    "classify_z4_skew_cyclic", "is_skew_cyclic", "min_hamming_distance",
+    "span_closure",
+})
+
+
+def __getattr__(name):
+    if name in _ORACLE_EXPORTS:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _ORACLE_EXPORTS)

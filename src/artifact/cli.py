@@ -5,6 +5,9 @@ and prints a report.  Exit codes: 0 success, 1 named constraint or
 validation failure, 2 parse error (position on stderr), 3 enumeration
 budget exceeded.  ``--format json`` mirrors every table as a document
 with the same canonical element strings.
+
+Only the commands that enumerate import :mod:`artifact.oracle`, and
+with it numpy, so the purely algebraic commands start without it.
 """
 
 from __future__ import annotations
@@ -15,11 +18,10 @@ import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from .errors import ArtifactError, BudgetExceeded, CheckFailed, ParseError
+from .errors import (DEFAULT_BUDGET, ArtifactError, BudgetExceeded,
+                     CheckFailed, ParseError)
 from .galois import AutomorphismSpec, RingContext
 from .mixedcode import MixedMatrix, MixedWord, parity_check, standard_form
-from .oracle import (DEFAULT_BUDGET, brute_force_dual,
-                     classify_z4_skew_cyclic, is_skew_cyclic, span_closure)
 from .skewcyclic import (derive_cofactors, skew_code_cardinality,
                          spanning_set, validate_generators)
 from .skewpoly import SkewPoly, right_divides
@@ -197,6 +199,7 @@ def _cmd_span(config: JobConfig) -> int:
 
 
 def _cmd_enumerate(config: JobConfig) -> int:
+    from .oracle import span_closure
     ctx, mat = parse_matrix(_read(config.path))
     code = span_closure(list(mat.rows), budget=config.budget,
                         ctx=ctx, r=mat.r, s=mat.s)
@@ -211,6 +214,7 @@ def _cmd_enumerate(config: JobConfig) -> int:
 
 
 def _cmd_is_skew_cyclic(config: JobConfig) -> int:
+    from .oracle import is_skew_cyclic, span_closure
     ctx, mat = parse_matrix(_read(config.path))
     autom = AutomorphismSpec(ctx, config.t)
     code = span_closure(list(mat.rows), budget=config.budget,
@@ -222,6 +226,7 @@ def _cmd_is_skew_cyclic(config: JobConfig) -> int:
 
 
 def _cmd_classify_z4(config: JobConfig) -> int:
+    from .oracle import classify_z4_skew_cyclic, span_closure
     ctx, mat = parse_matrix(_read(config.path))
     autom = AutomorphismSpec(ctx, config.t)
     code = span_closure(list(mat.rows), budget=config.budget,
@@ -360,6 +365,7 @@ def _reference_checks():
         _expect(h.rows, (W([(0, 1), (1, 1)], [(0, 1), (0,), (1,)]),))
 
     def check_brute_dual():
+        from .oracle import brute_force_dual, span_closure
         sf = standard_form(mat_4x5())
         h = parity_check(sf)
         code = span_closure(list(sf.g_std.rows))

@@ -7,6 +7,9 @@ errors carry the position of the offending token.
 
 from __future__ import annotations
 
+# Largest word set an enumeration may build unless told otherwise.
+DEFAULT_BUDGET = 1 << 24
+
 
 class ArtifactError(Exception):
     """Base class for all errors raised by this package."""

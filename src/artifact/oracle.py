@@ -28,7 +28,9 @@ buffer exists.  For skew closure the shift of each processed row joins
 the worklist when it is not already in the span.  The rows that grew
 the span are kept as the code's generators.
 
-The dual is filtered against those generators alone.  The pairing
+The dual is filtered against those generators alone; a set built
+otherwise (a word list, or a dual) first gets a generating set from its
+own words by the same coset steps.  The pairing
 ``<u, v> = 2 lift(sum alpha alpha') + sum beta beta'`` is
 GR(4,m)-bilinear: ``2 lift`` depends only on the residue, so
 ``<lambda u, v> = lambda <u, v>`` for every ring scalar ``lambda``, and
@@ -52,6 +54,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     ContextMismatch,
     NotACode,
@@ -73,7 +76,6 @@ __all__ = [
     "min_hamming_distance",
 ]
 
-DEFAULT_BUDGET = 1 << 24
 _BLOCK = 1 << 16  # words per mapping step, small enough for the cache
 
 
@@ -204,13 +206,13 @@ class EnumeratedCode:
     """An explicit, sorted word set together with its packing.
 
     ``gens`` holds packed words that generate the set as a
-    GR(4,m)-module: the rows that grew a span, or every word of a set
-    that was not built as one.
+    GR(4,m)-module, the rows that grew a span, or None for a set that
+    was not built as one.
     """
 
     codec: _Codec
     packed: object  # sorted np.uint64 array, or sorted tuple of ints
-    gens: np.ndarray  # in the codec's dtype
+    gens: Optional[np.ndarray]  # in the codec's dtype
 
     @property
     def ctx(self) -> RingContext:
@@ -271,6 +273,48 @@ def _isin(span: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return span[idx] == keys
 
 
+def _grow(codec: _Codec, span: np.ndarray, row, budget: int):
+    """One coset step: the sorted span of ``span`` and ``row``, or None
+    when ``span`` already holds ``row``."""
+    mult = codec.multiples(row)
+    inter = mult[_isin(span, mult)]
+    reps = []
+    covered = np.zeros(len(mult), dtype=bool)
+    for i, k in enumerate(mult):
+        if not covered[i]:
+            reps.append(k)
+            covered[np.searchsorted(mult, codec.add(inter, k))] = True
+    if len(reps) == 1:
+        return None
+    n = len(span)
+    size = n * len(reps)
+    if size > budget:
+        raise BudgetExceeded(f"span would grow to {size} words, "
+                             f"past the budget of {budget} words")
+    grown = np.empty(size, dtype=codec.dtype)
+    for i, k in enumerate(reps):
+        codec.add(span, k, out=grown[i * n:(i + 1) * n])
+    grown.sort()
+    return grown
+
+
+def _span_generators(codec: _Codec, words: np.ndarray,
+                     budget: int) -> np.ndarray:
+    """Words that generate the span of ``words``, found greedily.
+
+    A word joins only when it lies outside the span of the ones chosen
+    before it.  Each join multiplies the span by at least ``2^m``, so
+    there are at most ``r + 2s`` of them.
+    """
+    span, gens = codec.array([0]), []
+    while True:
+        outside = np.flatnonzero(~_isin(span, words))
+        if not len(outside):
+            return codec.array(gens)
+        gens.append(words[outside[0]])
+        span = _grow(codec, span, gens[-1], budget)
+
+
 def span_closure(rows, autom: Optional[AutomorphismSpec] = None,
                  skew: bool = False, budget: int = DEFAULT_BUDGET,
                  ctx: Optional[RingContext] = None,
@@ -299,24 +343,8 @@ def span_closure(rows, autom: Optional[AutomorphismSpec] = None,
     work = deque(codec.array([codec.encode(w) for w in rows]))
     while work:
         row = work.popleft()
-        mult = codec.multiples(row)
-        inter = mult[_isin(span, mult)]
-        reps = []
-        covered = np.zeros(len(mult), dtype=bool)
-        for i, k in enumerate(mult):
-            if not covered[i]:
-                reps.append(k)
-                covered[np.searchsorted(mult, codec.add(inter, k))] = True
-        if len(reps) > 1:
-            n = len(span)
-            size = n * len(reps)
-            if size > budget:
-                raise BudgetExceeded(f"span would grow to {size} words, "
-                                     f"past the budget of {budget} words")
-            grown = np.empty(size, dtype=codec.dtype)
-            for i, k in enumerate(reps):
-                codec.add(span, k, out=grown[i * n:(i + 1) * n])
-            grown.sort()
+        grown = _grow(codec, span, row, budget)
+        if grown is not None:
             span = grown
             gens.append(row)
         if skew:
@@ -336,7 +364,8 @@ def brute_force_dual(code, budget: int = DEFAULT_BUDGET) -> EnumeratedCode:
     """All ambient words orthogonal to every codeword.
 
     Filters the full ambient space against the code's ``gens``, one
-    pass per generator.  The pairing is GR(4,m)-bilinear (``2 lift``
+    pass per generator; a set without them gets a generating set from
+    its own words first.  The pairing is GR(4,m)-bilinear (``2 lift``
     depends only on the residue, so ``<lambda u, v> = lambda <u, v>``),
     hence orthogonality to the generators is orthogonality to the
     module they span.  Only element arithmetic is used, never the
@@ -363,10 +392,11 @@ def brute_force_dual(code, budget: int = DEFAULT_BUDGET) -> EnumeratedCode:
     field_terms = _lanes(codec.tables["field_scaled"].T, m, 1, lane) << 1
     mod4 = np.uint64(_lanes((1 << (2 * m)) - 1, m, 2, lane))
 
+    gens = code.gens
+    if gens is None:
+        gens = _span_generators(codec, codec.array(code.packed), budget)
     survivors = np.arange(ambient, dtype=np.uint64)
-    for u in code.gens:
-        if not u:
-            continue
+    for u in gens:
         cols = [int((u >> src) & mask)
                 for src, mask in zip(codec.offsets, codec.masks)]
         # A field entry acts as its lift, the ring scalar with its bits.
@@ -374,7 +404,7 @@ def brute_force_dual(code, budget: int = DEFAULT_BUDGET) -> EnumeratedCode:
             [field_terms[_lanes(c, m, 1, 2)] for c in cols[s:]]
         tot = codec.map(survivors, tables, codec.zeros)
         survivors = survivors[(tot & mod4) == 0]
-    return EnumeratedCode(codec, survivors, survivors)
+    return EnumeratedCode(codec, survivors, None)
 
 
 def _ensure_enumerated(code, ctx=None, r=None, s=None) -> EnumeratedCode:
@@ -384,7 +414,7 @@ def _ensure_enumerated(code, ctx=None, r=None, s=None) -> EnumeratedCode:
     ctx, r, s = _row_shape(rows, ctx, r, s)
     codec = _Codec(ctx, r, s)
     keys = np.unique(codec.array([codec.encode(w) for w in rows]))
-    return EnumeratedCode(codec, codec.store(keys), keys)
+    return EnumeratedCode(codec, codec.store(keys), None)
 
 
 def is_skew_cyclic(code, autom: AutomorphismSpec) -> bool:

@@ -238,3 +238,43 @@ def test_verify_paper_json():
     doc = json.loads(run_cli("verify-paper", "--format", "json").stdout)
     assert doc["all_passed"] is True
     assert len(doc["checks"]) == 21
+
+
+# Runs in a fresh interpreter, since this one has loaded numpy already.
+_COLD_START = """
+import contextlib, io, json, sys
+from artifact.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"exit": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def cold_start(*argvs):
+    """Exit codes of ``main`` on each argv, and whether numpy got loaded."""
+    res = subprocess.run([sys.executable, "-c", _COLD_START,
+                          json.dumps(argvs)],
+                         capture_output=True, text=True, check=True)
+    return json.loads(res.stdout)
+
+
+def test_algebraic_commands_start_without_numpy(tmp_path):
+    mat, gens = tmp_path / "code.mat", tmp_path / "code.gens"
+    mat.write_text(MATRIX_FILE)
+    gens.write_text(GENS_FILE)
+    assert cold_start(
+        ["ctx-info", "--m", "2"],
+        ["skew-mul", "--m", "2", "(w)*x", "(1+w)*x"],
+        ["std-form", str(mat)],
+        ["dual", str(mat)],
+        ["validate-gens", str(gens)],
+        ["cofactors", str(gens)],
+        ["span", str(gens)],
+    ) == {"exit": [0] * 7, "numpy": False}
+
+
+def test_enumerate_loads_numpy(tmp_path):
+    mat = tmp_path / "code.mat"
+    mat.write_text(QUATERNARY_FILE)
+    assert cold_start(["enumerate", str(mat)]) == {"exit": [0],
+                                                   "numpy": True}

@@ -2,7 +2,8 @@
 
 Checks must survive ``python -O``, which strips ``assert``, and no
 handler may swallow every error.  The enumeration oracle must stay
-independent of the structural modules it cross-checks.
+independent of the structural modules it cross-checks, and it alone
+may import numpy: the package and the command line import it lazily.
 """
 
 import ast
@@ -54,9 +55,58 @@ def test_guard_flags_each_rule():
         (1, "assert statement"), (4, "bare except"), (8, "except Exception")]
 
 
+def imports(tree, on_load_only=False):
+    """Dotted names of the modules the import statements in ``tree`` load.
+
+    Relative names keep their leading dots (``from . import oracle``
+    gives ``.oracle``).  With ``on_load_only`` the bodies of functions,
+    which do not run when the module is imported, are skipped.
+    """
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if on_load_only and isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            if node.module:
+                yield base
+            else:
+                yield from (base + a.name for a in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_import_guard_reads_each_form():
+    src = ("import numpy as np\n"
+           "from numpy.linalg import norm\n"
+           "from . import errors, oracle\n"
+           "from .oracle import span_closure\n"
+           "class C:\n    import artifact.oracle\n"
+           "def f():\n    from .oracle import is_skew_cyclic\n")
+    assert sorted(imports(ast.parse(src))) == [
+        ".errors", ".oracle", ".oracle", ".oracle", "artifact.oracle",
+        "numpy", "numpy.linalg"]
+    assert sorted(imports(ast.parse(src), on_load_only=True)) == [
+        ".errors", ".oracle", ".oracle", "artifact.oracle", "numpy",
+        "numpy.linalg"]
+
+
 def test_oracle_imports_nothing_from_skewcyclic():
-    for node in ast.walk(_parse(_SRC / "oracle.py")):
-        if isinstance(node, ast.ImportFrom):
-            assert "skewcyclic" not in (node.module or "")
-        elif isinstance(node, ast.Import):
-            assert all("skewcyclic" not in a.name for a in node.names)
+    assert not [n for n in imports(_parse(_SRC / "oracle.py"))
+                if "skewcyclic" in n]
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_only_the_oracle_imports_numpy(path):
+    found = [n for n in imports(_parse(path)) if n.split(".")[0] == "numpy"]
+    assert bool(found) == (path.name == "oracle.py"), f"{path.name}: {found}"
+
+
+@pytest.mark.parametrize("name", ["__init__.py", "cli.py"])
+def test_oracle_not_imported_on_load(name):
+    found = [n for n in imports(_parse(_SRC / name), on_load_only=True)
+             if n.rsplit(".", 1)[-1] == "oracle"]
+    assert not found, f"{name} imports {found} when it loads"

@@ -375,6 +375,26 @@ class TestDualWitnesses:
         assert [int(v) for v in again.packed] == naive_dual(dual, ctx2, 1, 2)
         assert again == code
 
+    def test_dual_of_dual_filters_one_pass_per_generator(self, ctx2,
+                                                         monkeypatch):
+        r, s = 1, 3
+        code = span_closure([MixedWord.from_ints(ctx2, [1], [2, 2, 0])])
+        dual = brute_force_dual(code)
+        assert (len(code), len(dual), dual.gens) == (4, 4096, None)
+        passes, multiples = [], []
+        mapping = oracle._Codec.map
+
+        def counted(codec, arr, *args):
+            # One row's scalar multiples map a single word; a filtering
+            # pass maps the surviving ambient words.
+            (passes if len(arr) > 1 else multiples).append(len(arr))
+            return mapping(codec, arr, *args)
+
+        monkeypatch.setattr(oracle._Codec, "map", counted)
+        assert brute_force_dual(dual) == code
+        assert 1 <= len(passes) <= r + 2 * s
+        assert len(multiples) == len(passes)
+
     def test_zero_code_has_the_ambient_dual(self, ctx2):
         code = span_closure([], ctx=ctx2, r=1, s=2)
         dual = brute_force_dual(code)

@@ -1,0 +1,50 @@
+"""The package namespace: oracle exports resolve lazily, names stay put."""
+
+import subprocess
+import sys
+
+import pytest
+
+import artifact
+from artifact import cli, errors, oracle
+
+
+@pytest.mark.parametrize("name", artifact.__all__)
+def test_every_export_resolves(name):
+    assert getattr(artifact, name) is not None
+    assert name in dir(artifact)
+
+
+def test_oracle_exports_are_the_oracle_objects():
+    for name in artifact._ORACLE_EXPORTS:
+        assert getattr(artifact, name) is getattr(oracle, name)
+    assert artifact._ORACLE_EXPORTS <= set(artifact.__all__)
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from artifact import *", namespace)
+    assert set(artifact.__all__) <= namespace.keys()
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        artifact.no_such_name
+    assert not hasattr(artifact, "oracle_exports")
+
+
+def test_one_default_budget():
+    parsed = cli._build_parser().parse_args(["enumerate", "code.mat"])
+    assert (artifact.DEFAULT_BUDGET, errors.DEFAULT_BUDGET,
+            oracle.DEFAULT_BUDGET, parsed.budget,
+            cli.JobConfig("enumerate").budget) == (1 << 24,) * 5
+
+
+def test_oracle_loads_on_first_access():
+    script = ("import sys, artifact\n"
+              "before = 'numpy' in sys.modules\n"
+              "artifact.span_closure\n"
+              "print(before, 'numpy' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.split() == ["False", "True"]
