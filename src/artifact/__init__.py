@@ -16,10 +16,10 @@ modules, does not load :mod:`artifact.oracle` or numpy.
 from .errors import (DEFAULT_BUDGET, ArtifactError, BudgetExceeded,
                      CheckFailed, ContextMismatch, DivisionByZero,
                      DivisorNotUnitLeading, FrobeniusIncompatible,
-                     MissingComponent, NotACode, NotBasicIrreducible,
-                     NotMonic, NotPrimitive, NotRightDivisible, NotUnit,
-                     OrthogonalityCheckFailed, ParseError, ShapeMismatch,
-                     TrivialCode)
+                     InvalidArgument, MissingComponent, NotACode,
+                     NotBasicIrreducible, NotMonic, NotPrimitive,
+                     NotRightDivisible, NotUnit, OrthogonalityCheckFailed,
+                     ParseError, ShapeMismatch, TrivialCode)
 from .galois import AutomorphismSpec, FieldElem, RingContext, RingElem
 from .mixedcode import (CodeType, MixedMatrix, MixedWord,
                         StandardFormResult, inner_product, parity_check,
@@ -39,7 +39,7 @@ __all__ = [
     "ArtifactError", "AutomorphismSpec", "BudgetExceeded", "CheckFailed",
     "Classification", "CodeType", "ConditionCheck", "ContextMismatch",
     "DEFAULT_BUDGET", "DivisionByZero", "DivisorNotUnitLeading",
-    "EnumeratedCode", "FieldElem", "FrobeniusIncompatible",
+    "EnumeratedCode", "FieldElem", "FrobeniusIncompatible", "InvalidArgument",
     "MissingComponent", "MixedMatrix", "MixedWord", "ModulePair",
     "NotACode", "NotBasicIrreducible", "NotMonic", "NotPrimitive",
     "NotRightDivisible", "NotUnit", "OrthogonalityCheckFailed",

@@ -18,13 +18,12 @@ import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from .errors import (DEFAULT_BUDGET, ArtifactError, BudgetExceeded,
-                     CheckFailed, ParseError)
+from .errors import DEFAULT_BUDGET, ArtifactError, BudgetExceeded, ParseError
 from .galois import AutomorphismSpec, RingContext
-from .mixedcode import MixedMatrix, MixedWord, parity_check, standard_form
+from .mixedcode import MixedMatrix, parity_check, standard_form
+from .reference import checks
 from .skewcyclic import (derive_cofactors, skew_code_cardinality,
                          spanning_set, validate_generators)
-from .skewpoly import SkewPoly, right_divides
 from .textio import (emit_matrix, int_poly_str, parse_gens, parse_int_poly,
                      parse_matrix, parse_poly)
 
@@ -243,236 +242,20 @@ def _cmd_classify_z4(config: JobConfig) -> int:
     return 0
 
 
-# Reference data for the verify-paper command: the worked examples the
-# library is expected to reproduce exactly.
-
-def _expect(actual, expected):
-    """Raise CheckFailed unless a computed value equals its reference."""
-    if actual != expected:
-        raise CheckFailed(f"got {actual!r}, expected {expected!r}")
-
-
-def _reference_checks():
-    ctx = RingContext(2, (1, 1, 1))
-    autom = AutomorphismSpec(ctx, 1)
-    F, R = ctx.field, ctx.ring
-
-    def W(alpha, beta):
-        return MixedWord(ctx, [F(a) for a in alpha], [R(b) for b in beta])
-
-    def mat_4x5():
-        return MixedMatrix.from_rows([
-            W([(1,), (1, 1)], [(2, 2), (2,), (2,)]),
-            W([(0, 1), (0,)], [(0, 2), (0,), (2,)]),
-            W([(0, 1), (1,)], [(2, 1), (1, 3), (0,)]),
-            W([(0,), (1, 1)], [(0, 2), (2,), (1,)]),
-        ])
-
-    def std_4x5():
-        return MixedMatrix.from_rows([
-            W([(1,), (0,)], [(0,), (0,), (0, 2)]),
-            W([(0,), (1,)], [(0,), (0,), (2, 2)]),
-            W([(0,), (0,)], [(1,), (0,), (0, 3)]),
-            W([(0,), (0,)], [(0,), (1,), (0,)]),
-        ])
-
-    def gens_r7s7():
-        from .skewcyclic import SkewGenerators
-        return SkewGenerators(
-            autom=autom, r=7, s=7,
-            f=SkewPoly.from_ints(autom, [1, 1, 0, 1], False),
-            l=SkewPoly.from_ints(autom, [1, 0, 1], False),
-            g=SkewPoly.from_ints(autom, [1, 2, 3, 1, 1], True),
-            a=SkewPoly.from_ints(autom, [3, 1], True))
-
-    def gens_r4s4():
-        from .skewcyclic import SkewGenerators
-        return SkewGenerators(
-            autom=autom, r=4, s=4,
-            f=SkewPoly(autom, [F((0, 1)), F((1, 1)), F((1,))], False),
-            l=SkewPoly.from_ints(autom, [1], False),
-            l1=SkewPoly(autom, [F((0, 1)), F((0, 1))], False),
-            g=SkewPoly.from_ints(autom, [1, 0, 1], True),
-            a=SkewPoly(autom, [R((0, 1))], True),
-            q=SkewPoly.from_ints(autom, [1, 0, 1], True))
-
-    def check_context():
-        _expect(ctx.m, 2)
-
-    def check_xi_square_product():
-        xi = R((0, 1))
-        _expect(R((1, 1)) * xi * xi, R((0, 3)))
-
-    def check_frobenius():
-        _expect(autom.apply(R((1, 1))), R((0, 3)))
-
-    def check_product_forward():
-        f = SkewPoly(autom, [R((0,)), R((0, 1))], True)
-        g = SkewPoly(autom, [R((0,)), R((1, 1))], True)
-        _expect(str(f * g), "(1+w)*x^2")
-
-    def check_product_reverse():
-        f = SkewPoly(autom, [R((0,)), R((0, 1))], True)
-        g = SkewPoly(autom, [R((0,)), R((1, 1))], True)
-        _expect(str(g * f), "(3*w)*x^2")
-
-    def check_products_differ():
-        f = SkewPoly(autom, [R((0,)), R((0, 1))], True)
-        g = SkewPoly(autom, [R((0,)), R((1, 1))], True)
-        _expect(f * g == g * f, False)
-
-    def check_binary_division():
-        num = SkewPoly.x_pow_minus_one(autom, 7, False)
-        den = SkewPoly.from_ints(autom, [1, 1, 0, 1], False)
-        quo, rem = num.right_divmod(den)
-        _expect(rem.is_zero, True)
-        _expect(quo, SkewPoly.from_ints(autom, [1, 1, 1, 0, 1], False))
-
-    def check_quaternary_division():
-        num = SkewPoly.x_pow_minus_one(autom, 4, True)
-        den = SkewPoly.from_ints(autom, [1, 0, 1], True)
-        quo, rem = num.right_divmod(den)
-        _expect(rem.is_zero, True)
-        _expect(quo, SkewPoly.from_ints(autom, [3, 0, 1], True))
-
-    def check_linear_right_factor():
-        den = SkewPoly.from_ints(autom, [3, 1], True)
-        _expect(right_divides(den, SkewPoly.x_pow_minus_one(autom, 7, True)),
-                True)
-
-    def check_quadratic_right_factor():
-        den = SkewPoly(autom, [R((1,)), R((0, 2)), R((1,))], True)
-        _expect(right_divides(den, SkewPoly.x_pow_minus_one(autom, 4, True)),
-                True)
-
-    def check_standard_form():
-        sf = standard_form(mat_4x5())
-        _expect(sf.g_std.rows, std_4x5().rows)
-        _expect(str(sf.code_type), "(2,3;2;2,0)")
-
-    def check_cardinality():
-        sf = standard_form(mat_4x5())
-        _expect(sf.code_type.cardinality(2), 4096)
-
-    def check_dual_type():
-        sf = standard_form(mat_4x5())
-        dt = sf.code_type.dual()
-        _expect((str(dt), dt.cardinality(2)), ("(2,3;0;1,0)", 16))
-
-    def check_dual_row():
-        sf = standard_form(mat_4x5())
-        h = parity_check(sf)
-        _expect(h.rows, (W([(0, 1), (1, 1)], [(0, 1), (0,), (1,)]),))
-
-    def check_brute_dual():
-        from .oracle import brute_force_dual, span_closure
-        sf = standard_form(mat_4x5())
-        h = parity_check(sf)
-        code = span_closure(list(sf.g_std.rows))
-        dual = brute_force_dual(code)
-        _expect(len(dual), 16)
-        _expect(dual == span_closure(list(h.rows)), True)
-
-    def check_validate_r7s7():
-        rep = validate_generators(gens_r7s7())
-        _expect((rep.valid, rep.case), (True, "ii"))
-
-    def check_cofactors_r7s7():
-        full = derive_cofactors(gens_r7s7())
-        _expect(full.h_f, SkewPoly.from_ints(autom, [1, 1, 1, 0, 1], False))
-        _expect(full.h_g, SkewPoly.from_ints(autom, [3, 2, 3, 1], True))
-        _expect(full.l1,
-                SkewPoly.from_ints(autom, [1, 0, 0, 1, 1, 1], False))
-        _expect(full.q, SkewPoly.from_ints(autom, [1, 1, 1, 0, 1], True))
-
-    def check_spanning_r7s7():
-        _, mat = spanning_set(derive_cofactors(gens_r7s7()))
-        rows = [
-            ([1, 1, 0, 1, 0, 0, 0], [0] * 7),
-            ([0, 1, 1, 0, 1, 0, 0], [0] * 7),
-            ([0, 0, 1, 1, 0, 1, 0], [0] * 7),
-            ([0, 0, 0, 1, 1, 0, 1], [0] * 7),
-            ([1, 0, 1, 0, 0, 0, 0], [3, 0, 3, 1, 1, 0, 0]),
-            ([0, 1, 0, 1, 0, 0, 0], [0, 3, 0, 3, 1, 1, 0]),
-            ([0, 0, 1, 0, 1, 0, 0], [0, 0, 3, 0, 3, 1, 1]),
-            ([1, 0, 0, 1, 1, 1, 0], [2, 2, 2, 0, 2, 0, 0]),
-            ([0, 1, 0, 0, 1, 1, 1], [0, 2, 2, 2, 0, 2, 0]),
-            ([1, 0, 1, 0, 0, 1, 1], [0, 0, 2, 2, 2, 0, 2]),
-        ]
-        _expect(mat.rows,
-                tuple(MixedWord.from_ints(ctx, al, be) for al, be in rows))
-
-    def check_validate_r4s4():
-        rep = validate_generators(gens_r4s4())
-        _expect((rep.valid, rep.case), (True, "iii"))
-
-    def check_cofactors_r4s4():
-        full = derive_cofactors(gens_r4s4())
-        _expect(full.k, SkewPoly(autom, [F((0, 1))], False))
-        _expect(full.h_q, SkewPoly.from_ints(autom, [1, 0, 1], False))
-
-    def check_spanning_r4s4():
-        _, mat = spanning_set(derive_cofactors(gens_r4s4()))
-        x1, x2 = (0, 1), (1, 1)
-        _expect(mat.rows, (
-            W([x1, x2, (1,), (0,)], [(0,)] * 4),
-            W([(0,), x2, x1, (1,)], [(0,)] * 4),
-            W([(1,), (0,), (0,), (0,)], [(1, 2), (0,), (1,), (0,)]),
-            W([(0,), (1,), (0,), (0,)], [(0,), (3, 2), (0,), (1,)]),
-            W([x1, x1, (0,), (0,)], [(2,), (0,), (2,), (0,)]),
-            W([(0,), x2, x2, (0,)], [(0,), (2,), (0,), (2,)]),
-        ))
-
-    return [
-        ("context accepts m=2, h=1+x+x^2", check_context),
-        ("(1+w)*w^2 equals 3*w", check_xi_square_product),
-        ("frobenius maps 1+w to 3*w", check_frobenius),
-        ("skew product (w)*x times (1+w)*x is (1+w)*x^2",
-         check_product_forward),
-        ("skew product (1+w)*x times (w)*x is (3*w)*x^2",
-         check_product_reverse),
-        ("the two skew products differ", check_products_differ),
-        ("binary cofactor of 1+x+x^3 in x^7-1 is 1+x+x^2+x^4",
-         check_binary_division),
-        ("quaternary cofactor of 1+x^2 in x^4-1 is 3+x^2",
-         check_quaternary_division),
-        ("3+x right-divides x^7-1", check_linear_right_factor),
-        ("1+(2*w)*x+x^2 right-divides x^4-1", check_quadratic_right_factor),
-        ("reference 4x5 matrix reduces to its standard form, type "
-         "(2,3;2;2,0)", check_standard_form),
-        ("type (2,3;2;2,0) counts 4096 words at m=2", check_cardinality),
-        ("dual type is (2,3;0;1,0) with 16 words", check_dual_type),
-        ("derived dual row is w 1+w | w 0 1", check_dual_row),
-        ("brute-force dual equals the span of the derived row",
-         check_brute_dual),
-        ("seven-seven generator tuple validates as case ii",
-         check_validate_r7s7),
-        ("seven-seven cofactors and residual row match",
-         check_cofactors_r7s7),
-        ("seven-seven spanning matrix matches all 10 rows",
-         check_spanning_r7s7),
-        ("four-four generator tuple validates as case iii",
-         check_validate_r4s4),
-        ("four-four cofactors k and h_q match", check_cofactors_r4s4),
-        ("four-four spanning matrix matches all 6 rows",
-         check_spanning_r4s4),
-    ]
-
-
 def _cmd_verify_paper(config: JobConfig) -> int:
-    results = []
-    for name, fn in _reference_checks():
+    lines, entries = [], []
+    for name, compute, expected in checks():
         try:
-            fn()
-            results.append((name, True, None))
+            actual = compute()
+            detail = (f"got {actual!r}, expected {expected!r}"
+                      if actual != expected else None)
         except ArtifactError as exc:
-            results.append((name, False, str(exc)))
-    lines = []
-    doc = {"checks": [], "all_passed": all(ok for _, ok, _ in results)}
-    for name, ok, detail in results:
-        mark = "pass" if ok else "FAIL"
-        lines.append(f"[{mark}] {name}" + (f" ({detail})" if detail else ""))
-        doc["checks"].append({"name": name, "passed": ok, "detail": detail})
+            detail = str(exc)
+        ok = detail is None
+        lines.append(f"[{'pass' if ok else 'FAIL'}] {name}"
+                     + (f" ({detail})" if detail else ""))
+        entries.append({"name": name, "passed": ok, "detail": detail})
+    doc = {"checks": entries, "all_passed": all(e["passed"] for e in entries)}
     _emit(config, lines, doc)
     return 0 if doc["all_passed"] else 1
 

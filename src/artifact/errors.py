@@ -45,6 +45,10 @@ class NotUnit(ArtifactError):
     """Inversion was requested for a non-invertible element."""
 
 
+class InvalidArgument(ArtifactError, ValueError):
+    """An argument lies outside the domain of the operation."""
+
+
 class ShapeMismatch(ArtifactError):
     """Operands have incompatible lengths or block shapes."""
 

@@ -31,12 +31,15 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
+    CheckFailed,
     ContextMismatch,
     FrobeniusIncompatible,
+    InvalidArgument,
     NotBasicIrreducible,
     NotMonic,
     NotPrimitive,
     NotUnit,
+    ShapeMismatch,
 )
 
 __all__ = ["RingContext", "RingElem", "FieldElem", "AutomorphismSpec"]
@@ -73,7 +76,7 @@ def _f2_order_of_x(p: int, m: int) -> int:
             v ^= p
         order += 1
         if order > (1 << m):
-            raise ValueError("order search did not terminate")
+            raise CheckFailed("order search did not terminate")
     return order
 
 
@@ -99,7 +102,7 @@ class _Elem:
     def __init__(self, ctx: "RingContext", coeffs: Sequence[int]):
         vec = [int(c) % self._mod for c in coeffs]
         if len(vec) > ctx.m:
-            raise ValueError(f"coefficient vector longer than m={ctx.m}")
+            raise ShapeMismatch(f"coefficient vector longer than m={ctx.m}")
         vec.extend([0] * (ctx.m - len(vec)))
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "coeffs", tuple(vec))
@@ -208,11 +211,11 @@ class RingElem(_Elem):
 
         Raises
         ------
-        ValueError
+        InvalidArgument
             If some coefficient is odd.
         """
         if any(c % 2 for c in self.coeffs):
-            raise ValueError(f"{self} is not doubled")
+            raise InvalidArgument(f"{self} is not doubled")
         return FieldElem(self.ctx, [c // 2 for c in self.coeffs])
 
 
@@ -446,7 +449,7 @@ class AutomorphismSpec:
 
     def __init__(self, ctx: RingContext, t: int = 1):
         if t < 1:
-            raise ValueError("t must be a positive integer")
+            raise InvalidArgument("t must be a positive integer")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "t_raw", t)
         object.__setattr__(self, "t", (t - 1) % ctx.m + 1)

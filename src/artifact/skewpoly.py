@@ -19,6 +19,7 @@ from .errors import (
     ContextMismatch,
     DivisionByZero,
     DivisorNotUnitLeading,
+    InvalidArgument,
 )
 from .galois import AutomorphismSpec, FieldElem, RingElem
 
@@ -246,7 +247,7 @@ class SkewPoly:
         plain coefficient folding ``x^(n+j) -> x^j``.
         """
         if n < 1:
-            raise ValueError("n must be positive")
+            raise InvalidArgument("n must be positive")
         ctx = self.autom.ctx
         zero = ctx.ring_zero() if self.ring else ctx.field_zero()
         vec = [zero] * n

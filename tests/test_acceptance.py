@@ -21,81 +21,15 @@ from artifact import (AutomorphismSpec, CodeType, MixedMatrix, MixedWord,
                       right_divides, skew_code_cardinality, span_closure,
                       spanning_set, standard_form, validate_generators)
 from artifact import oracle
+from artifact.reference import (four_four_matrix, gens_four_four,
+                                gens_seven_seven, seven_seven_matrix,
+                                worked_dual_row, worked_matrix,
+                                worked_standard)
 
 _CTX1 = RingContext(1, (1, 1))
 _CTX2 = RingContext(2, (1, 1, 1))
 _AUT1 = AutomorphismSpec(_CTX1, 1)
 _AUT2 = AutomorphismSpec(_CTX2, 1)
-
-
-def _w(ctx, alpha, beta):
-    return MixedWord(ctx, [ctx.field(a) for a in alpha],
-                     [ctx.ring(b) for b in beta])
-
-
-def worked_matrix():
-    return MixedMatrix.from_rows([
-        _w(_CTX2, [(1,), (1, 1)], [(2, 2), (2,), (2,)]),
-        _w(_CTX2, [(0, 1), (0,)], [(0, 2), (0,), (2,)]),
-        _w(_CTX2, [(0, 1), (1,)], [(2, 1), (1, 3), (0,)]),
-        _w(_CTX2, [(0,), (1, 1)], [(0, 2), (2,), (1,)]),
-    ])
-
-
-def worked_standard():
-    return MixedMatrix.from_rows([
-        _w(_CTX2, [(1,), (0,)], [(0,), (0,), (0, 2)]),
-        _w(_CTX2, [(0,), (1,)], [(0,), (0,), (2, 2)]),
-        _w(_CTX2, [(0,), (0,)], [(1,), (0,), (0, 3)]),
-        _w(_CTX2, [(0,), (0,)], [(0,), (1,), (0,)]),
-    ])
-
-
-def gens_seven_seven():
-    return SkewGenerators(
-        autom=_AUT2, r=7, s=7,
-        f=SkewPoly.from_ints(_AUT2, [1, 1, 0, 1], False),
-        l=SkewPoly.from_ints(_AUT2, [1, 0, 1], False),
-        g=SkewPoly.from_ints(_AUT2, [1, 2, 3, 1, 1], True),
-        a=SkewPoly.from_ints(_AUT2, [3, 1], True))
-
-
-def gens_four_four():
-    F, R = _CTX2.field, _CTX2.ring
-    return SkewGenerators(
-        autom=_AUT2, r=4, s=4,
-        f=SkewPoly(_AUT2, [F((0, 1)), F((1, 1)), F((1,))], False),
-        l=SkewPoly.from_ints(_AUT2, [1], False),
-        l1=SkewPoly(_AUT2, [F((0, 1)), F((0, 1))], False),
-        g=SkewPoly.from_ints(_AUT2, [1, 0, 1], True),
-        a=SkewPoly(_AUT2, [R((0, 1))], True),
-        q=SkewPoly.from_ints(_AUT2, [1, 0, 1], True))
-
-
-SEVEN_SEVEN_ROWS = [
-    ([1, 1, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0]),
-    ([0, 1, 1, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 0]),
-    ([0, 0, 1, 1, 0, 1, 0], [0, 0, 0, 0, 0, 0, 0]),
-    ([0, 0, 0, 1, 1, 0, 1], [0, 0, 0, 0, 0, 0, 0]),
-    ([1, 0, 1, 0, 0, 0, 0], [3, 0, 3, 1, 1, 0, 0]),
-    ([0, 1, 0, 1, 0, 0, 0], [0, 3, 0, 3, 1, 1, 0]),
-    ([0, 0, 1, 0, 1, 0, 0], [0, 0, 3, 0, 3, 1, 1]),
-    ([1, 0, 0, 1, 1, 1, 0], [2, 2, 2, 0, 2, 0, 0]),
-    ([0, 1, 0, 0, 1, 1, 1], [0, 2, 2, 2, 0, 2, 0]),
-    ([1, 0, 1, 0, 0, 1, 1], [0, 0, 2, 2, 2, 0, 2]),
-]
-
-
-def four_four_reference():
-    x1, x2 = (0, 1), (1, 1)
-    return MixedMatrix.from_rows([
-        _w(_CTX2, [x1, x2, (1,), (0,)], [(0,)] * 4),
-        _w(_CTX2, [(0,), x2, x1, (1,)], [(0,)] * 4),
-        _w(_CTX2, [(1,), (0,), (0,), (0,)], [(1, 2), (0,), (1,), (0,)]),
-        _w(_CTX2, [(0,), (1,), (0,), (0,)], [(0,), (3, 2), (0,), (1,)]),
-        _w(_CTX2, [x1, x1, (0,), (0,)], [(2,), (0,), (2,), (0,)]),
-        _w(_CTX2, [(0,), x2, x2, (0,)], [(0,), (2,), (0,), (2,)]),
-    ])
 
 
 @pytest.fixture(scope="module")
@@ -175,8 +109,7 @@ class TestDualDerivation:
     def setup_method(self, method):
         self.sf = standard_form(worked_matrix())
         self.h = parity_check(self.sf)
-        self.derived = _w(_CTX2, [(0, 1), (1, 1)],
-                          [(0, 1), (0,), (1,)])
+        self.derived = worked_dual_row()
 
     def test_brute_force_dual_has_16_words(self):
         code = span_closure(list(self.sf.g_std.rows))
@@ -220,7 +153,9 @@ class TestDualDerivation:
         # The same row with quaternary part (w, 1, 0) instead of
         # (w, 0, 1) fails the orthogonality identity, which is why the
         # derived row is the one asserted throughout.
-        variant = _w(_CTX2, [(0, 1), (1, 1)], [(0, 1), (1,), (0,)])
+        F, R = _CTX2.field, _CTX2.ring
+        variant = MixedWord(_CTX2, [F((0, 1)), F((1, 1))],
+                            [R((0, 1)), R((1,)), R((0,))])
         zero = _CTX2.ring_zero()
         rows = list(self.sf.g_std.rows)
         assert any(inner_product(row, variant) != zero for row in rows)
@@ -254,10 +189,7 @@ class TestSevenSevenSpanningSet:
 
     def test_matrix_matches_reference_rows(self, seven_seven):
         _, mat, _ = seven_seven
-        expect = MixedMatrix.from_rows(
-            [MixedWord.from_ints(_CTX2, al, be)
-             for al, be in SEVEN_SEVEN_ROWS])
-        assert mat == expect
+        assert mat == seven_seven_matrix()
 
     def test_span_size_equals_cofactor_degree_formula(self, seven_seven):
         full, _, code = seven_seven
@@ -303,7 +235,7 @@ class TestFourFourSpanningSet:
 
     def test_matrix_matches_reference_rows(self, four_four):
         _, mat, _ = four_four
-        assert mat == four_four_reference()
+        assert mat == four_four_matrix()
 
     def test_span_is_closed_under_the_skew_shift(self, four_four):
         _, _, code = four_four

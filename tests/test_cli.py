@@ -212,6 +212,14 @@ def test_missing_file_is_exit_one(tmp_path):
     assert res.returncode == 1
 
 
+def test_nonpositive_t_names_its_error(tmp_path):
+    path = tmp_path / "code.mat"
+    path.write_text(QUATERNARY_FILE)
+    res = run_cli("is-skew-cyclic", str(path), "--t", "0")
+    assert res.returncode == 1
+    assert res.stderr == "InvalidArgument: t must be a positive integer\n"
+
+
 def test_verify_paper_passes():
     res = run_cli("verify-paper")
     assert res.returncode == 0

@@ -5,8 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from artifact import (AutomorphismSpec, FrobeniusIncompatible,
-                      NotBasicIrreducible, NotMonic, NotPrimitive, NotUnit,
-                      RingContext)
+                      InvalidArgument, NotBasicIrreducible, NotMonic,
+                      NotPrimitive, NotUnit, RingContext, ShapeMismatch)
 
 
 class TestContextValidation:
@@ -83,6 +83,10 @@ class TestRingArithmetic:
         with pytest.raises(Exception):
             ctx2.ring((1,)) + ctx2.field((1,))
 
+    def test_coefficient_vector_longer_than_m_rejected(self, ctx2):
+        with pytest.raises(ShapeMismatch):
+            ctx2.ring((1, 0, 1))
+
 
 class TestUnits:
     def test_unit_count(self, ctx2):
@@ -131,6 +135,8 @@ class TestReductionAndLift:
         for e in ctx2.all_field_elems():
             doubled = e.lift() + e.lift()
             assert doubled.halve() == e
+        with pytest.raises(InvalidArgument):
+            ctx2.ring((2, 1)).halve()
 
     def test_index_round_trip(self, ctx2):
         for i in range(16):

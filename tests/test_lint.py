@@ -1,7 +1,8 @@
 """Source rules that the test suite enforces in place of a linter.
 
-Checks must survive ``python -O``, which strips ``assert``, and no
-handler may swallow every error.  The enumeration oracle must stay
+Checks must survive ``python -O``, which strips ``assert``, no handler
+may swallow every error, and errors raised on purpose are named
+:class:`~artifact.errors.ArtifactError` classes, not bare ``ValueError``.  The enumeration oracle must stay
 independent of the structural modules it cross-checks, and it alone
 may import numpy: the package and the command line import it lazily.
 """
@@ -20,10 +21,16 @@ def _parse(path):
 
 
 def violations(tree):
-    """``(line, rule)`` for every assert, bare except and except Exception."""
+    """``(line, rule)`` for every assert, bare except, except Exception
+    and raise ValueError."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Assert):
             yield node.lineno, "assert statement"
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                yield node.lineno, "raise ValueError"
         elif isinstance(node, ast.ExceptHandler):
             if node.type is None:
                 yield node.lineno, "bare except"
@@ -50,9 +57,12 @@ def test_guard_flags_each_rule():
     src = ("assert x\n"
            "try:\n    pass\nexcept:\n    pass\n"
            "try:\n    pass\nexcept (ValueError, Exception):\n    pass\n"
-           "try:\n    pass\nexcept ValueError:\n    pass\n")
+           "try:\n    pass\nexcept ValueError:\n    pass\n"
+           "def f():\n    raise ValueError('x')\n    raise ShapeMismatch\n"
+           "    raise\n")
     assert list(violations(ast.parse(src))) == [
-        (1, "assert statement"), (4, "bare except"), (8, "except Exception")]
+        (1, "assert statement"), (4, "bare except"), (8, "except Exception"),
+        (15, "raise ValueError")]
 
 
 def imports(tree, on_load_only=False):
@@ -105,7 +115,7 @@ def test_only_the_oracle_imports_numpy(path):
     assert bool(found) == (path.name == "oracle.py"), f"{path.name}: {found}"
 
 
-@pytest.mark.parametrize("name", ["__init__.py", "cli.py"])
+@pytest.mark.parametrize("name", ["__init__.py", "cli.py", "reference.py"])
 def test_oracle_not_imported_on_load(name):
     found = [n for n in imports(_parse(_SRC / name), on_load_only=True)
              if n.rsplit(".", 1)[-1] == "oracle"]

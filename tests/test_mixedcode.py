@@ -5,6 +5,7 @@ import pytest
 from artifact import (CodeType, ContextMismatch, MixedMatrix, MixedWord,
                       ShapeMismatch, inner_product, parity_check,
                       parse_gens, span_closure, spanning_set, standard_form)
+from artifact.reference import worked_matrix, worked_standard
 
 # A case i generator tuple whose spanning set has six doubled pivots.
 CASE_I_GENS = """m: 2
@@ -15,34 +16,6 @@ t: 1
 f: 1+x
 q: 1+w+(1+w)*x+x^2
 """
-
-
-def worked_matrix(ctx):
-    F, R = ctx.field, ctx.ring
-
-    def W(alpha, beta):
-        return MixedWord(ctx, [F(a) for a in alpha], [R(b) for b in beta])
-
-    return MixedMatrix.from_rows([
-        W([(1,), (1, 1)], [(2, 2), (2,), (2,)]),
-        W([(0, 1), (0,)], [(0, 2), (0,), (2,)]),
-        W([(0, 1), (1,)], [(2, 1), (1, 3), (0,)]),
-        W([(0,), (1, 1)], [(0, 2), (2,), (1,)]),
-    ])
-
-
-def worked_standard(ctx):
-    F, R = ctx.field, ctx.ring
-
-    def W(alpha, beta):
-        return MixedWord(ctx, [F(a) for a in alpha], [R(b) for b in beta])
-
-    return MixedMatrix.from_rows([
-        W([(1,), (0,)], [(0,), (0,), (0, 2)]),
-        W([(0,), (1,)], [(0,), (0,), (2, 2)]),
-        W([(0,), (0,)], [(1,), (0,), (0, 3)]),
-        W([(0,), (0,)], [(0,), (1,), (0,)]),
-    ])
 
 
 class TestMixedWord:
@@ -139,22 +112,22 @@ class TestCodeType:
 
 
 class TestStandardForm:
-    def test_worked_reduction(self, ctx2):
-        sf = standard_form(worked_matrix(ctx2))
-        assert sf.g_std == worked_standard(ctx2)
+    def test_worked_reduction(self):
+        sf = standard_form(worked_matrix())
+        assert sf.g_std == worked_standard()
         assert str(sf.code_type) == "(2,3;2;2,0)"
         assert sf.bin_perm == (0, 1)
         assert sf.quat_perm == (0, 2, 1)
 
-    def test_span_preserved_up_to_declared_permutation(self, ctx2):
-        mat = worked_matrix(ctx2)
+    def test_span_preserved_up_to_declared_permutation(self):
+        mat = worked_matrix()
         sf = standard_form(mat)
         permuted = mat.permute_columns(sf.bin_perm, sf.quat_perm)
         assert span_closure(list(sf.g_std.rows)) == \
             span_closure(list(permuted.rows))
 
-    def test_idempotent_on_standard_matrices(self, ctx2):
-        sf = standard_form(worked_matrix(ctx2))
+    def test_idempotent_on_standard_matrices(self):
+        sf = standard_form(worked_matrix())
         again = standard_form(sf.g_std)
         assert again.g_std == sf.g_std
         assert again.code_type == sf.code_type
@@ -199,7 +172,7 @@ class TestStandardForm:
 
 class TestParityCheck:
     def test_worked_dual_row(self, ctx2):
-        sf = standard_form(worked_matrix(ctx2))
+        sf = standard_form(worked_matrix())
         h = parity_check(sf)
         expect = MixedWord(ctx2,
                            [ctx2.field((0, 1)), ctx2.field((1, 1))],
@@ -208,7 +181,7 @@ class TestParityCheck:
         assert len(h) == 1 and h[0] == expect
 
     def test_rows_orthogonal_to_generator(self, ctx2):
-        mat = worked_matrix(ctx2)
+        mat = worked_matrix()
         sf = standard_form(mat)
         h = parity_check(sf)
         permuted = mat.permute_columns(sf.bin_perm, sf.quat_perm)
@@ -217,8 +190,8 @@ class TestParityCheck:
             for h_row in h:
                 assert inner_product(g_row, h_row) == zero
 
-    def test_dual_row_count_matches_dual_type(self, ctx2):
-        sf = standard_form(worked_matrix(ctx2))
+    def test_dual_row_count_matches_dual_type(self):
+        sf = standard_form(worked_matrix())
         h = parity_check(sf)
         dt = sf.code_type.dual()
         assert len(h) == dt.k0 + dt.k1 + dt.k2

@@ -8,28 +8,7 @@ from artifact import (ContextMismatch, MissingComponent, MixedWord,
                       from_pair, module_mul, skew_code_cardinality,
                       spanning_set, theta_shift, to_pair,
                       validate_generators)
-
-
-def gens_seven_seven(autom):
-    return SkewGenerators(
-        autom=autom, r=7, s=7,
-        f=SkewPoly.from_ints(autom, [1, 1, 0, 1], False),
-        l=SkewPoly.from_ints(autom, [1, 0, 1], False),
-        g=SkewPoly.from_ints(autom, [1, 2, 3, 1, 1], True),
-        a=SkewPoly.from_ints(autom, [3, 1], True))
-
-
-def gens_four_four(autom):
-    ctx = autom.ctx
-    F, R = ctx.field, ctx.ring
-    return SkewGenerators(
-        autom=autom, r=4, s=4,
-        f=SkewPoly(autom, [F((0, 1)), F((1, 1)), F((1,))], False),
-        l=SkewPoly.from_ints(autom, [1], False),
-        l1=SkewPoly(autom, [F((0, 1)), F((0, 1))], False),
-        g=SkewPoly.from_ints(autom, [1, 0, 1], True),
-        a=SkewPoly(autom, [R((0, 1))], True),
-        q=SkewPoly.from_ints(autom, [1, 0, 1], True))
+from artifact.reference import gens_four_four, gens_seven_seven
 
 
 class TestShift:
@@ -120,14 +99,14 @@ class TestGeneratorTuples:
 
 
 class TestValidation:
-    def test_seven_seven_tuple_is_case_ii(self, autom2):
-        report = validate_generators(gens_seven_seven(autom2))
+    def test_seven_seven_tuple_is_case_ii(self):
+        report = validate_generators(gens_seven_seven())
         assert report.case == "ii"
         assert report.valid
         assert any("residual" in n for n in report.notes)
 
-    def test_four_four_tuple_is_case_iii(self, autom2):
-        report = validate_generators(gens_four_four(autom2))
+    def test_four_four_tuple_is_case_iii(self):
+        report = validate_generators(gens_four_four())
         assert report.case == "iii"
         assert report.valid
 
@@ -159,7 +138,7 @@ class TestValidation:
         assert "f |r x^r-1 (mod 2)" in report.failed_names()
 
     def test_oversized_l_is_named(self, autom2):
-        gens = gens_seven_seven(autom2)
+        gens = gens_seven_seven()
         bad = SkewGenerators(
             autom=autom2, r=7, s=7, f=gens.f,
             l=SkewPoly.from_ints(autom2, [1, 0, 0, 1], False),
@@ -167,14 +146,14 @@ class TestValidation:
         report = validate_generators(bad)
         assert "deg(l) < deg(f)" in report.failed_names()
 
-    def test_str_report_shows_status(self, autom2):
-        text = str(validate_generators(gens_seven_seven(autom2)))
+    def test_str_report_shows_status(self):
+        text = str(validate_generators(gens_seven_seven()))
         assert "case ii" in text and "[ok  ]" in text
 
 
 class TestCofactors:
     def test_seven_seven_chain(self, autom2):
-        full = derive_cofactors(gens_seven_seven(autom2))
+        full = derive_cofactors(gens_seven_seven())
         assert full.h_f == SkewPoly.from_ints(autom2, [1, 1, 1, 0, 1],
                                               False)
         assert full.h_g == SkewPoly.from_ints(autom2, [3, 2, 3, 1], True)
@@ -186,13 +165,13 @@ class TestCofactors:
 
     def test_four_four_chain(self, autom2):
         ctx = autom2.ctx
-        full = derive_cofactors(gens_four_four(autom2))
+        full = derive_cofactors(gens_four_four())
         assert full.k == SkewPoly(autom2, [ctx.field((0, 1))], False)
         assert full.h_q == SkewPoly.from_ints(autom2, [1, 0, 1], False)
         assert not full.materialized
 
     def test_cofactors_multiply_back(self, autom2):
-        full = derive_cofactors(gens_seven_seven(autom2))
+        full = derive_cofactors(gens_seven_seven())
         assert full.h_f * full.f == SkewPoly.x_pow_minus_one(autom2, 7,
                                                              False)
         assert full.h_g * full.g == SkewPoly.x_pow_minus_one(autom2, 7,
@@ -207,14 +186,14 @@ class TestCofactors:
 
 
 class TestSpanningSet:
-    def test_row_counts_follow_cofactor_degrees(self, autom2):
-        ss, mat = spanning_set(derive_cofactors(gens_seven_seven(autom2)))
+    def test_row_counts_follow_cofactor_degrees(self):
+        ss, mat = spanning_set(derive_cofactors(gens_seven_seven()))
         assert len(ss.s1) == 4 and len(ss.s2) == 3 and len(ss.s3) == 3
         assert len(mat) == 10
         assert mat.r == 7 and mat.s == 7
 
     def test_first_rows_are_the_generators(self, autom2):
-        gens = gens_seven_seven(autom2)
+        gens = gens_seven_seven()
         ss, _ = spanning_set(derive_cofactors(gens))
         assert ss.s1[0] == from_pair(ModulePair(
             gens.f, SkewPoly.zero(autom2, True), 7, 7))
@@ -222,7 +201,7 @@ class TestSpanningSet:
             gens.l, gens.g_plus_2a(), 7, 7))
 
     def test_later_rows_are_shifts(self, autom2):
-        ss, _ = spanning_set(derive_cofactors(gens_seven_seven(autom2)))
+        ss, _ = spanning_set(derive_cofactors(gens_seven_seven()))
         for block in (ss.s1, ss.s2, ss.s3):
             for prev, cur in zip(block, block[1:]):
                 assert cur == theta_shift(prev, autom2)
@@ -233,10 +212,10 @@ class TestSpanningSet:
         assert len(mat) == 0
         assert skew_code_cardinality(gens) == 1
 
-    def test_cardinality_formula(self, autom2):
+    def test_cardinality_formula(self):
         assert skew_code_cardinality(
-            derive_cofactors(gens_seven_seven(autom2))) == 1 << 26
+            derive_cofactors(gens_seven_seven())) == 1 << 26
         # The four-four tuple has dependent spanning rows, so the
         # degree formula overcounts; its true span is 2^14.
         assert skew_code_cardinality(
-            derive_cofactors(gens_four_four(autom2))) == 1 << 16
+            derive_cofactors(gens_four_four())) == 1 << 16

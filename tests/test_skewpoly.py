@@ -1,12 +1,12 @@
 """Skew polynomial arithmetic and right division."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact import (AutomorphismSpec, ContextMismatch, DivisionByZero,
-                      DivisorNotUnitLeading, RingContext, SkewPoly,
-                      right_divides)
+                      DivisorNotUnitLeading, InvalidArgument, RingContext,
+                      SkewPoly, right_divides)
 
 
 def ring_poly(autom, max_deg=5):
@@ -118,6 +118,8 @@ def test_reduce_mod_xn_folds_exponents(autom2):
     assert p.reduce_mod_xn(4) == SkewPoly.x_power(autom2, 1)
     mod = SkewPoly.x_pow_minus_one(autom2, 4)
     assert mod.reduce_mod_xn(4).is_zero
+    with pytest.raises(InvalidArgument):
+        p.reduce_mod_xn(0)
 
 
 def test_mod2_and_lift(autom2):
@@ -138,23 +140,37 @@ def test_string_forms(autom2):
                         True)) == "(w)*x"
 
 
-# hypothesis strategies cannot consume pytest fixtures; bind a module
-# level context for the property tests instead.
+# hypothesis strategies cannot consume pytest fixtures; bind module
+# level contexts for the property tests instead.
 _CTX = RingContext(2, (1, 1, 1))
 _AUT = AutomorphismSpec(_CTX, 1)
+_CTX3 = RingContext(3, (3, 1, 2, 1))
+_AUTOMS = [_AUT, AutomorphismSpec(_CTX3, 1), AutomorphismSpec(_CTX3, 2)]
+# As many examples per automorphism as the profile gives one test.
+_EACH = settings(max_examples=len(_AUTOMS) * settings.default.max_examples)
 
 
-@given(ring_poly(_AUT, 3), ring_poly(_AUT, 3), ring_poly(_AUT, 3))
-def test_associativity_and_distributivity(f, g, h):
+def polys(*degrees):
+    """Ring polynomials over one automorphism drawn from ``_AUTOMS``."""
+    return st.sampled_from(_AUTOMS).flatmap(
+        lambda autom: st.tuples(*(ring_poly(autom, d) for d in degrees)))
+
+
+@_EACH
+@given(polys(3, 3, 3))
+def test_associativity_and_distributivity(fgh):
+    f, g, h = fgh
     assert (f * g) * h == f * (g * h)
     assert f * (g + h) == f * g + f * h
     assert (f + g) * h == f * h + g * h
 
 
-@given(ring_poly(_AUT, 4), ring_poly(_AUT, 3))
-def test_division_reconstruction(f, g):
+@_EACH
+@given(polys(4, 3))
+def test_division_reconstruction(fg):
+    f, g = fg
     if g.is_zero or not g.lead.is_unit():
-        g = g + SkewPoly.x_power(_AUT, 4)
+        g = g + SkewPoly.x_power(g.autom, 4)
     quo, rem = f.right_divmod(g)
     assert quo * g + rem == f
     assert rem.is_zero or rem.degree < g.degree

@@ -8,6 +8,7 @@ from artifact import (AutomorphismSpec, MixedMatrix, MixedWord, ParseError,
                       RingContext, SkewGenerators, SkewPoly, emit_gens,
                       emit_matrix, int_poly_str, parse_element, parse_gens,
                       parse_int_poly, parse_matrix, parse_poly)
+from artifact import reference
 
 _CTX = RingContext(2, (1, 1, 1))
 _AUT = AutomorphismSpec(_CTX, 1)
@@ -227,6 +228,14 @@ class TestGensFiles:
     def test_component_constraint_surfaces(self):
         with pytest.raises(Exception):
             parse_gens("m: 2\nh: 1+x+x^2\nr: 0\ns: 4\na: w\n")
+
+
+def test_text_fixtures_parse_to_the_reference_objects():
+    # The text copies test the parser; the objects in artifact.reference
+    # are built without it.  This keeps the two copies from drifting.
+    assert parse_matrix(WORKED_MATRIX_FILE)[1] == reference.worked_matrix()
+    assert parse_gens(SEVEN_SEVEN_GENS_FILE)[2] == \
+        reference.gens_seven_seven()
 
 
 class TestElementStrategyRoundTrip:
