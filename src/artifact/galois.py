@@ -2,19 +2,33 @@
 
 A :class:`RingContext` fixes a monic modulus ``h`` of degree ``m`` over
 the integers mod 4.  Writing ``xi`` for the class of ``x`` in
-``Z4[x]/(h)``, ring elements are stored as coefficient vectors
+``Z4[x]/(h)``, elements are read and shown as coefficient vectors
 ``(v_0, ..., v_{m-1})`` with ``v_i`` in ``{0, 1, 2, 3}``, meaning
 ``v_0 + v_1*xi + ... + v_{m-1}*xi^(m-1)``.  Reducing every coefficient
 mod 2 lands in the residue field ``GF(2^m) = Z2[x]/(h mod 2)``, whose
-elements use the same vector shape over ``{0, 1}`` and are printed with
-the same symbol ``w`` for the field generator.
+elements use the same vector shape over ``{0, 1}`` and the same symbol
+``w`` for the field generator.
 
-The modulus must be monic, irreducible mod 2, primitive mod 2, and (for
-``m >= 2``) the Hensel lift of its mod-2 reduction, so that substituting
-``xi -> xi^2`` on coefficients is a ring automorphism.  The powers of
-that substitution are exposed through :class:`AutomorphismSpec` and are
-the twists used by the skew polynomial rings built on top of this
-module.
+Inside, every element is one int in 2-adic form (Wan, *Lectures on
+Finite Fields and Galois Rings*, 2003, ch. 14).  A field element is its
+bitmask ``a``; a ring element ``T(a) + 2*T(b)`` is ``a | b << m``,
+where ``T`` lifts the field onto the Teichmüller set ``{0} ∪ <xi>``.
+``T`` is multiplicative and ``T(a) + T(c) = T(a + c) + 2*T(sqrt(ac))``,
+so with the field's log/antilog tables every operation is O(1)::
+
+    (a, b) * (c, d) = (ac, ad + bc)     -(a, b) = (a, a + b)
+    (a, b) + (c, d) = (a + c, b + d + sqrt(ac))
+    (a, b)^-1 = (1/a, b/a^2)            phi^j (a, b) = (a^(2^j), b^(2^j))
+
+The tables hold O(2^m) entries, filled by one walk over the powers of
+``xi`` in plain Z4 coefficient arithmetic; coefficient vectors appear
+only where an element is built from or shown as one.
+
+The modulus must be monic, irreducible and primitive mod 2, and (for
+``m >= 2``) the Hensel lift of its reduction, ``xi^(2^m - 1) = 1``: then
+``xi`` is Teichmüller and ``xi -> xi^2`` is a ring automorphism.  Its
+powers are exposed through :class:`AutomorphismSpec` and are the twists
+used by the skew polynomial rings built on top of this module.
 
 Example
 -------
@@ -30,181 +44,172 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    CheckFailed,
-    ContextMismatch,
-    FrobeniusIncompatible,
-    InvalidArgument,
-    NotBasicIrreducible,
-    NotMonic,
-    NotPrimitive,
-    NotUnit,
-    ShapeMismatch,
-)
+from .errors import (ContextMismatch, FrobeniusIncompatible, InvalidArgument,
+                     NotBasicIrreducible, NotMonic, NotPrimitive, NotUnit,
+                     ShapeMismatch)
 
 __all__ = ["RingContext", "RingElem", "FieldElem", "AutomorphismSpec"]
 
 
-# Binary polynomials as int bitmasks, used only to vet the modulus.
-
-def _f2_deg(p: int) -> int:
-    return p.bit_length() - 1
-
-
-def _f2_mod(a: int, b: int) -> int:
-    db = _f2_deg(b)
-    while _f2_deg(a) >= db:
-        a ^= b << (_f2_deg(a) - db)
-    return a
-
-
 def _f2_is_irreducible(p: int, m: int) -> bool:
-    for d in range(1, m // 2 + 1):
-        for q in range(1 << d, 1 << (d + 1)):
-            if _f2_mod(p, q) == 0:
-                return False
+    """True when no binary polynomial of degree 1..m/2 divides ``p``."""
+    for q in range(2, 1 << (m // 2 + 1)):
+        r = p
+        while r.bit_length() >= q.bit_length():
+            r ^= q << (r.bit_length() - q.bit_length())
+        if not r:
+            return False
     return True
 
 
-def _f2_order_of_x(p: int, m: int) -> int:
-    """Multiplicative order of x modulo the irreducible p."""
-    v = _f2_mod(0b10, p)
-    order = 1
-    while v != 1:
-        v <<= 1
-        if _f2_deg(v) >= m:
-            v ^= p
-        order += 1
-        if order > (1 << m):
-            raise CheckFailed("order search did not terminate")
-    return order
-
-
-def _term_str(coeff: int, power: int) -> str:
-    if power == 0:
-        return str(coeff)
-    watom = "w" if power == 1 else f"w^{power}"
-    return watom if coeff == 1 else f"{coeff}*{watom}"
-
-
 def _vec_str(coeffs: Sequence[int]) -> str:
-    terms = [_term_str(c, k) for k, c in enumerate(coeffs) if c]
-    return "+".join(terms) if terms else "0"
+    terms = [str(c) if k == 0 else ("" if c == 1 else f"{c}*")
+             + ("w" if k == 1 else f"w^{k}")
+             for k, c in enumerate(coeffs) if c]
+    return "+".join(terms) or "0"
 
 
 class _Elem:
-    """Shared behaviour of ring and field elements (internal)."""
+    """Shared behaviour of ring and field elements; ``_x`` is packed."""
 
-    __slots__ = ("ctx", "coeffs")
-
-    _mod = 4  # overridden
+    __slots__ = ("ctx", "_x")
 
     def __init__(self, ctx: "RingContext", coeffs: Sequence[int]):
-        vec = [int(c) % self._mod for c in coeffs]
+        vec = tuple(coeffs)
         if len(vec) > ctx.m:
             raise ShapeMismatch(f"coefficient vector longer than m={ctx.m}")
-        vec.extend([0] * (ctx.m - len(vec)))
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "coeffs", tuple(vec))
+        _set_ctx(self, ctx)
+        _set_x(self, self._parse(ctx, vec))
 
     def __setattr__(self, name, value):
         raise AttributeError("elements are immutable")
 
-    def _coerce(self, other):
+    def _operand(self, other):
+        """Packed int of ``other`` in this context, or None."""
         if isinstance(other, int):
-            return type(self)(self.ctx, (other,))
+            return self._const(self.ctx, other)
         if isinstance(other, type(self)):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ContextMismatch("operands from different contexts")
-            return other
+            return other._x
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return type(self)(self.ctx, [a + b for a, b in zip(self.coeffs, o.coeffs)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return type(self)(self.ctx, [a - b for a, b in zip(self.coeffs, o.coeffs)])
-
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return type(self)(self.ctx, [-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        m = self.ctx.m
-        prod = [0] * (2 * m - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    prod[i + j] += a * b
-        return type(self)(self.ctx, self.ctx._fold(prod, self._mod))
-
-    __rmul__ = __mul__
+        y = self._operand(other)
+        return NotImplemented if y is None \
+            else _make(type(self), self.ctx, y) - self
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = type(self)(self.ctx, (other,))
+            return self._x == self._const(self.ctx, other)
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.ctx == other.ctx and self.coeffs == other.coeffs
+        return self._x == other._x and (
+            self.ctx is other.ctx or self.ctx == other.ctx)
 
     def __hash__(self):
-        return hash((type(self).__name__, self.ctx, self.coeffs))
+        return hash((self._side, self.ctx, self._x))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return bool(self._x)
 
     def __str__(self):
-        return _vec_str(self.coeffs)
+        names = self.ctx._names[self._side]
+        s = names.get(self._x)
+        if s is None:
+            s = names[self._x] = _vec_str(self.coeffs)
+        return s
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"
+
+
+_new, _set_ctx, _set_x = object.__new__, _Elem.ctx.__set__, _Elem._x.__set__
+
+
+def _make(cls, ctx, x):
+    e = _new(cls)
+    _set_ctx(e, ctx)
+    _set_x(e, x)
+    return e
 
 
 class RingElem(_Elem):
     """An element of GR(4, m), printed in the ``c*w^k`` notation."""
 
     __slots__ = ()
-    _mod = 4
+    _side = 0
+
+    @staticmethod
+    def _parse(ctx, vec):
+        return ctx._from_index(sum((int(c) & 3) << (2 * i)
+                                   for i, c in enumerate(vec)))
+
+    @staticmethod
+    def _const(ctx, c):
+        return (c & 1) | ((c >> 1) & 1) << ctx.m
+
+    @property
+    def coeffs(self) -> tuple:
+        """Ascending coefficients in ``{0, 1, 2, 3}``."""
+        idx = self.ctx._index(self._x)
+        return tuple((idx >> (2 * i)) & 3 for i in range(self.ctx.m))
+
+    def __add__(self, other):
+        y = self._operand(other)
+        if y is None:
+            return NotImplemented
+        ctx, x = self.ctx, self._x
+        log, n = ctx._log, ctx._n
+        return _make(RingElem, ctx, x ^ y ^ ctx._root[log[x & n] + log[y & n]])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        x = self._x
+        return _make(RingElem, self.ctx, x ^ (x & self.ctx._n) << self.ctx.m)
+
+    def __sub__(self, other):
+        y = self._operand(other)
+        if y is None:
+            return NotImplemented
+        return self + -_make(RingElem, self.ctx, y)
+
+    def __mul__(self, other):
+        y = self._operand(other)
+        if y is None:
+            return NotImplemented
+        ctx, x = self.ctx, self._x
+        m, log, exp = ctx.m, ctx._log, ctx._exp
+        la, lc = log[x & ctx._n], log[y & ctx._n]
+        return _make(RingElem, ctx, exp[la + lc] | (
+            exp[la + log[y >> m]] ^ exp[log[x >> m] + lc]) << m)
+
+    __rmul__ = __mul__
 
     def is_unit(self) -> bool:
         """True when the element is invertible, i.e. nonzero mod 2."""
-        return any(c % 2 for c in self.coeffs)
+        return bool(self._x & self.ctx._n)
 
     def inverse(self) -> "RingElem":
-        """Multiplicative inverse, computed by exponentiation.
-
-        The unit group has order ``2^m * (2^m - 1)``, so the inverse of
-        a unit ``a`` is ``a`` raised to that order minus one.
+        """Multiplicative inverse, ``(a, b)^-1 = (1/a, b/a^2)``.
 
         Raises
         ------
         NotUnit
             If the element is not invertible.
         """
-        if not self.is_unit():
+        ctx, x = self.ctx, self._x
+        n, log, exp = ctx._n, ctx._log, ctx._exp
+        if not x & n:
             raise NotUnit(f"{self} is not a unit")
-        exp = (1 << self.ctx.m) * ((1 << self.ctx.m) - 1) - 1
-        return _pow(self, exp, self.ctx.ring_one())
+        la = log[x & n]
+        return _make(RingElem, ctx, exp[n - la] | exp[
+            log[x >> ctx.m] + (-2 * la) % n] << ctx.m)
 
     def reduce_mod2(self) -> "FieldElem":
         """Image in the residue field (coefficients taken mod 2)."""
-        return FieldElem(self.ctx, self.coeffs)
+        return _make(FieldElem, self.ctx, self._x & self.ctx._n)
 
     def halve(self) -> "FieldElem":
         """For an element of 2R, the field element it doubles.
@@ -214,19 +219,52 @@ class RingElem(_Elem):
         InvalidArgument
             If some coefficient is odd.
         """
-        if any(c % 2 for c in self.coeffs):
+        if self._x & self.ctx._n:
             raise InvalidArgument(f"{self} is not doubled")
-        return FieldElem(self.ctx, [c // 2 for c in self.coeffs])
+        return _make(FieldElem, self.ctx, self._x >> self.ctx.m)
 
 
 class FieldElem(_Elem):
     """An element of the residue field GF(2^m)."""
 
     __slots__ = ()
-    _mod = 2
+    _side = 1
+
+    @staticmethod
+    def _parse(ctx, vec):
+        return sum((int(c) & 1) << i for i, c in enumerate(vec))
+
+    @staticmethod
+    def _const(ctx, c):
+        return c & 1
+
+    @property
+    def coeffs(self) -> tuple:
+        """Ascending coefficients in ``{0, 1}``."""
+        return tuple((self._x >> i) & 1 for i in range(self.ctx.m))
+
+    def __add__(self, other):
+        y = self._operand(other)
+        if y is None:
+            return NotImplemented
+        return _make(FieldElem, self.ctx, self._x ^ y)
+
+    __radd__ = __sub__ = __add__
+
+    def __neg__(self):
+        return self
+
+    def __mul__(self, other):
+        y = self._operand(other)
+        if y is None:
+            return NotImplemented
+        log = self.ctx._log
+        return _make(FieldElem, self.ctx, self.ctx._exp[log[self._x] + log[y]])
+
+    __rmul__ = __mul__
 
     def is_unit(self) -> bool:
-        return bool(self)
+        return bool(self._x)
 
     def inverse(self) -> "FieldElem":
         """Multiplicative inverse in the field.
@@ -238,117 +276,87 @@ class FieldElem(_Elem):
         """
         if not self:
             raise NotUnit("zero has no inverse")
-        exp = (1 << self.ctx.m) - 2
-        return _pow(self, exp, self.ctx.field_one())
+        ctx = self.ctx
+        return _make(FieldElem, ctx, ctx._exp[ctx._n - ctx._log[self._x]])
 
     def lift(self) -> RingElem:
         """The ring element with the same {0, 1} coefficient vector."""
-        return RingElem(self.ctx, self.coeffs)
-
-
-def _pow(base, exp, one):
-    result = one
-    acc = base
-    while exp:
-        if exp & 1:
-            result = result * acc
-        acc = acc * acc
-        exp >>= 1
-    return result
+        ctx = self.ctx
+        return _make(RingElem, ctx, ctx._from_index(ctx._spread[self._x]))
 
 
 class RingContext:
-    """Fixed modulus and precomputed reduction data for GR(4, m).
+    """Fixed modulus and precomputed arithmetic tables for GR(4, m).
+
+    Contexts are immutable and hashable; elements remember their
+    context and refuse mixed-context arithmetic with
+    :class:`~artifact.errors.ContextMismatch`.
 
     Parameters
     ----------
     m:
         Degree of the extension, at least 1.
     h:
-        Coefficients ``(h_0, ..., h_m)`` of the modulus, ascending.
-        ``h`` must be monic of degree exactly ``m``, its mod-2 reduction
-        must be irreducible and primitive, and for ``m >= 2`` the class
-        of ``x^2`` must again be a root of ``h`` (Hensel lift), which is
-        what makes the Frobenius substitution an automorphism.
+        Coefficients ``(h_0, ..., h_m)`` of the modulus, ascending: monic
+        of degree ``m``, irreducible and primitive mod 2, and for
+        ``m >= 2`` with ``xi`` of order ``2^m - 1`` (the Hensel lift).
 
     Raises
     ------
+    InvalidArgument
+        When ``m < 1``.
     NotMonic, NotBasicIrreducible, NotPrimitive, FrobeniusIncompatible
         When the modulus fails the corresponding requirement, checked
         in that order.
-
-    Notes
-    -----
-    Contexts are immutable and hashable; elements remember their
-    context and refuse mixed-context arithmetic with
-    :class:`~artifact.errors.ContextMismatch`.
     """
 
-    __slots__ = ("m", "h", "h_bar", "_pow4", "_pow2", "_frob4", "_frob2")
+    __slots__ = ("m", "h", "h_bar", "_hash", "_n", "_log", "_exp", "_root",
+                 "_teich", "_spread", "_unspread", "_names")
 
     def __init__(self, m: int, h: Sequence[int]):
         if m < 1:
-            raise NotMonic("degree m must be at least 1")
+            raise InvalidArgument("degree m must be at least 1")
         h = tuple(int(c) % 4 for c in h)
         if len(h) != m + 1 or h[m] != 1:
             raise NotMonic(f"h must be monic of degree {m}")
         h_bar = tuple(c % 2 for c in h)
-        h_bar_int = sum(b << i for i, b in enumerate(h_bar))
-        if not _f2_is_irreducible(h_bar_int, m):
+        if not _f2_is_irreducible(sum(b << i for i, b in enumerate(h_bar)), m):
             raise NotBasicIrreducible("h mod 2 is reducible")
-        if _f2_order_of_x(h_bar_int, m) != (1 << m) - 1:
-            raise NotPrimitive("x is not a generator mod (h mod 2)")
 
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "h_bar", h_bar)
+        # One walk over xi^0 .. xi^n in Z4 coefficients: xi^k is the
+        # Teichmüller lift of the field element w^k, its image mod 2.
+        n = (1 << m) - 1
+        spread = [sum(((a >> i) & 1) << (2 * i) for i in range(m))
+                  for a in range(n + 1)]
+        exp = [0] * n
+        log = [2 * n] * (n + 1)  # log 0 indexes the zero tail of _exp
+        teich = [0] * (n + 1)
+        vec = [1] + [0] * (m - 1)
+        for k in range(n + 1):
+            idx = sum(c << (2 * i) for i, c in enumerate(vec))
+            a = sum((c & 1) << i for i, c in enumerate(vec))
+            if (a == 1) != (k % n == 0):
+                raise NotPrimitive("x is not a generator mod (h mod 2)")
+            if k == n:
+                break
+            exp[k], log[a], teich[a] = a, k, idx
+            vec = [(v - vec[-1] * c) % 4 for v, c in zip([0] + vec[:-1], h)]
+        if m >= 2 and idx != 1:
+            raise FrobeniusIncompatible(
+                "h is not the Hensel lift of h mod 2, so xi -> xi^2 "
+                "is not an automorphism")
 
-        # xi^k for k up to 2^(m-1) * (m-1), enough for products and for
-        # every Frobenius power image.
-        top = max(2 * m - 1, (1 << (m - 1)) * (m - 1) + 1)
-        pow4 = [[0] * m for _ in range(top)]
-        for k in range(min(m, top)):
-            pow4[k][k] = 1
-        for k in range(m, top):
-            prev = pow4[k - 1]
-            carry = prev[m - 1]
-            vec = [0] + prev[: m - 1]
-            if carry:
-                for i in range(m):
-                    vec[i] = (vec[i] - carry * h[i]) % 4
-            pow4[k] = vec
-        pow2 = [[c % 2 for c in vec] for vec in pow4]
-        object.__setattr__(self, "_pow4", tuple(tuple(v) for v in pow4))
-        object.__setattr__(self, "_pow2", tuple(tuple(v) for v in pow2))
-
-        # Basis images of the Frobenius powers phi^j, phi(xi) = xi^2.
-        frob4 = []
-        frob2 = []
-        for j in range(m):
-            step = 1 << j
-            imgs4 = []
-            imgs2 = []
-            for i in range(m):
-                e = step * i
-                imgs4.append(self._pow4[e])
-                imgs2.append(self._pow2[e])
-            frob4.append(tuple(imgs4))
-            frob2.append(tuple(imgs2))
-        object.__setattr__(self, "_frob4", tuple(frob4))
-        object.__setattr__(self, "_frob2", tuple(frob2))
-
-        if m >= 2:
-            xi_sq = RingElem(self, self._pow4[2])
-            acc = self.ring_zero()
-            p = self.ring_one()
-            for c in h:
-                acc = acc + c * p
-                p = p * xi_sq
-            if acc:
-                raise FrobeniusIncompatible(
-                    "h is not the Hensel lift of h mod 2, so xi -> xi^2 "
-                    "is not an automorphism"
-                )
+        # n is the field mask and the order of its unit group.  _exp[la +
+        # lc] is the product for every pair of logs, 0 when either is log
+        # 0 = 2n; _root[la + lc] is sqrt(ac) << m.  _names caches str.
+        zeros = [0] * (2 * n + 1)
+        for name, value in zip(self.__slots__, (
+                m, h, h_bar, hash((m, h)), n, log,
+                [exp[k % n] for k in range(2 * n)] + zeros,
+                [exp[(k << (m - 1)) % n] << m for k in range(2 * n)] + zeros,
+                teich, spread, {s: a for a, s in enumerate(spread)},
+                ({}, {}))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("contexts are immutable")
@@ -359,22 +367,21 @@ class RingContext:
         return self.m == other.m and self.h == other.h
 
     def __hash__(self):
-        return hash((self.m, self.h))
+        return self._hash
 
     def __repr__(self):
         return f"RingContext(m={self.m}, h={list(self.h)})"
 
-    def _fold(self, prod: list, mod: int) -> list:
-        """Reduce a raw product vector of length <= 2m-1 to length m."""
-        pows = self._pow4 if mod == 4 else self._pow2
-        vec = [c % mod for c in prod[: self.m]]
-        for k in range(self.m, len(prod)):
-            c = prod[k] % mod
-            if c:
-                table = pows[k]
-                for i in range(self.m):
-                    vec[i] = (vec[i] + c * table[i]) % mod
-        return vec
+    def _index(self, x: int) -> int:
+        """``ring_index`` of packed ``x``: ``2*T(b)`` is ``b`` spread into
+        the high bit of each pair."""
+        return self._teich[x & self._n] ^ self._spread[x >> self.m] << 1
+
+    def _from_index(self, idx: int) -> int:
+        """Packed ring element of a ``ring_index`` (inverse of _index)."""
+        low, unspread = self._spread[self._n], self._unspread
+        a = unspread[idx & low]
+        return a | unspread[((idx ^ self._teich[a]) >> 1) & low] << self.m
 
     # Constructors.
 
@@ -387,16 +394,16 @@ class RingContext:
         return FieldElem(self, tuple(coeffs))
 
     def ring_zero(self) -> RingElem:
-        return RingElem(self, ())
+        return _make(RingElem, self, 0)
 
     def ring_one(self) -> RingElem:
-        return RingElem(self, (1,))
+        return _make(RingElem, self, 1)
 
     def field_zero(self) -> FieldElem:
-        return FieldElem(self, ())
+        return _make(FieldElem, self, 0)
 
     def field_one(self) -> FieldElem:
-        return FieldElem(self, (1,))
+        return _make(FieldElem, self, 1)
 
     # Census.
 
@@ -405,28 +412,26 @@ class RingContext:
         return (1 << self.m) * ((1 << self.m) - 1)
 
     def all_ring_elems(self) -> Iterator[RingElem]:
-        for idx in range(1 << (2 * self.m)):
-            yield self.ring_from_index(idx)
+        return map(self.ring_from_index, range(1 << (2 * self.m)))
 
     def all_field_elems(self) -> Iterator[FieldElem]:
-        for idx in range(1 << self.m):
-            yield self.field_from_index(idx)
+        return map(self.field_from_index, range(1 << self.m))
 
     # Dense integer indexing, used by the enumeration backend.  A ring
     # element packs each coefficient into two bits, a field element into
     # one bit, both little-endian in the power of w.
 
     def ring_index(self, e: RingElem) -> int:
-        return sum(c << (2 * i) for i, c in enumerate(e.coeffs))
+        return self._index(e._x)
 
     def ring_from_index(self, idx: int) -> RingElem:
-        return RingElem(self, [(idx >> (2 * i)) & 3 for i in range(self.m)])
+        return _make(RingElem, self, self._from_index(idx))
 
     def field_index(self, e: FieldElem) -> int:
-        return sum(c << i for i, c in enumerate(e.coeffs))
+        return e._x
 
     def field_from_index(self, idx: int) -> FieldElem:
-        return FieldElem(self, [(idx >> i) & 1 for i in range(self.m)])
+        return _make(FieldElem, self, idx & self._n)
 
 
 class AutomorphismSpec:
@@ -476,22 +481,16 @@ class AutomorphismSpec:
         """Apply the automorphism ``k`` times (``k`` may be 0 or large).
 
         Works on both ring and field elements and fixes every constant,
-        in particular 0, 1, 2, 3.
+        in particular 0, 1, 2, 3.  On the 2-adic form ``phi^j`` raises
+        both halves to the power ``2^j``.
         """
         ctx = self.ctx
-        if elem.ctx != ctx:
+        if elem.ctx is not ctx and elem.ctx != ctx:
             raise ContextMismatch("element from a different context")
         j = (self.t * k) % ctx.m
         if j == 0:
             return elem
-        if isinstance(elem, RingElem):
-            table, mod = ctx._frob4[j], 4
-        else:
-            table, mod = ctx._frob2[j], 2
-        vec = [0] * ctx.m
-        for i, c in enumerate(elem.coeffs):
-            if c:
-                img = table[i]
-                for p in range(ctx.m):
-                    vec[p] = (vec[p] + c * img[p]) % mod
-        return type(elem)(ctx, vec)
+        n, log, exp = ctx._n, ctx._log, ctx._exp
+        a, b = elem._x & n, elem._x >> ctx.m  # b is 0 for a field element
+        return _make(type(elem), ctx, (exp[(log[a] << j) % n] if a else 0)
+                     | (exp[(log[b] << j) % n] if b else 0) << ctx.m)

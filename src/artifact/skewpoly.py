@@ -282,13 +282,13 @@ class SkewPoly:
                 parts.append(str(e))
                 continue
             xatom = "x" if k == 1 else f"x^{k}"
-            nz = [(i, c) for i, c in enumerate(e.coeffs) if c]
-            if e == 1:
+            name = str(e)
+            if name == "1":
                 parts.append(xatom)
-            elif len(nz) == 1 and nz[0][0] == 0:
-                parts.append(f"{nz[0][1]}*{xatom}")
+            elif name.isdigit():  # a constant 2 or 3
+                parts.append(f"{name}*{xatom}")
             else:
-                parts.append(f"({e})*{xatom}")
+                parts.append(f"({name})*{xatom}")
         return "+".join(parts)
 
     def __repr__(self):

@@ -33,7 +33,7 @@ import re
 from typing import List, Optional, Tuple
 
 from .errors import ParseError
-from .galois import AutomorphismSpec, RingContext, _pow
+from .galois import AutomorphismSpec, RingContext
 from .mixedcode import MixedMatrix, MixedWord
 from .skewcyclic import SkewGenerators
 from .skewpoly import SkewPoly
@@ -146,6 +146,17 @@ def _w_power(ctx: RingContext, k: int, ring: bool):
     else:
         gen = ctx.ring((0, 1)) if ring else ctx.field((0, 1))
     return _pow(gen, k, one)
+
+
+def _pow(base, exp: int, one):
+    """``base ** exp`` by square and multiply."""
+    result = one
+    while exp:
+        if exp & 1:
+            result = result * base
+        base = base * base
+        exp >>= 1
+    return result
 
 
 def _parse_eterm(p: _Parser, ctx: RingContext, ring: bool):

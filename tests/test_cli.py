@@ -63,6 +63,12 @@ def test_ctx_info_rejects_bad_modulus():
     assert "NotBasicIrreducible" in res.stderr
 
 
+def test_degree_below_one_names_its_error():
+    res = run_cli("ctx-info", "--m", "-1", "--h", "1")
+    assert res.returncode == 1
+    assert res.stderr == "InvalidArgument: degree m must be at least 1\n"
+
+
 def test_skew_mul_is_noncommutative():
     left = run_cli("skew-mul", "--m", "2", "(w)*x", "(1+w)*x")
     right = run_cli("skew-mul", "--m", "2", "(1+w)*x", "(w)*x")

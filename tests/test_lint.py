@@ -2,9 +2,11 @@
 
 Checks must survive ``python -O``, which strips ``assert``, no handler
 may swallow every error, and errors raised on purpose are named
-:class:`~artifact.errors.ArtifactError` classes, not bare ``ValueError``.  The enumeration oracle must stay
-independent of the structural modules it cross-checks, and it alone
-may import numpy: the package and the command line import it lazily.
+:class:`~artifact.errors.ArtifactError` classes, not bare ``ValueError``.
+No ``artifact`` module imports an underscore name from another.  The
+enumeration oracle must stay independent of the structural modules it
+cross-checks, and it alone may import numpy: the package and the
+command line import it lazily.
 """
 
 import ast
@@ -21,11 +23,16 @@ def _parse(path):
 
 
 def violations(tree):
-    """``(line, rule)`` for every assert, bare except, except Exception
-    and raise ValueError."""
+    """``(line, rule)`` for every assert, bare except, except Exception,
+    raise ValueError and underscore name imported from the package."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Assert):
             yield node.lineno, "assert statement"
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("artifact")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield node.lineno, "private import"
         elif isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) \
                 else node.exc
@@ -59,10 +66,16 @@ def test_guard_flags_each_rule():
            "try:\n    pass\nexcept (ValueError, Exception):\n    pass\n"
            "try:\n    pass\nexcept ValueError:\n    pass\n"
            "def f():\n    raise ValueError('x')\n    raise ShapeMismatch\n"
-           "    raise\n")
+           "    raise\n"
+           "def g():\n    from .galois import RingContext, _pow\n"
+           "    from artifact.textio import _Parser\n"
+           "    from . import errors, _tables\n"
+           "    from numpy import _NoValue\n"
+           "    from __future__ import annotations\n")
     assert list(violations(ast.parse(src))) == [
         (1, "assert statement"), (4, "bare except"), (8, "except Exception"),
-        (15, "raise ValueError")]
+        (15, "raise ValueError"), (19, "private import"),
+        (20, "private import"), (21, "private import")]
 
 
 def imports(tree, on_load_only=False):
