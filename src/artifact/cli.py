@@ -24,8 +24,8 @@ from .mixedcode import MixedMatrix, parity_check, standard_form
 from .reference import checks
 from .skewcyclic import (derive_cofactors, skew_code_cardinality,
                          spanning_set, validate_generators)
-from .textio import (emit_matrix, int_poly_str, parse_gens, parse_int_poly,
-                     parse_matrix, parse_poly)
+from .textio import (emit_matrix, int_poly_str, parse_element, parse_gens,
+                     parse_int_poly, parse_matrix, parse_poly)
 
 __all__ = ["JobConfig", "run", "main"]
 
@@ -78,7 +78,7 @@ def _perm_str(perm) -> str:
 
 def _cmd_ctx_info(config: JobConfig) -> int:
     ctx = _context(config)
-    xi = ctx.ring((0, 1)) if ctx.m > 1 else ctx.ring((-ctx.h[0],))
+    xi = parse_element("w", ctx)
     order = 1
     acc = xi
     while acc != ctx.ring_one():

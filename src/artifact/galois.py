@@ -22,7 +22,9 @@ so with the field's log/antilog tables every operation is O(1)::
 
 The tables hold O(2^m) entries, filled by one walk over the powers of
 ``xi`` in plain Z4 coefficient arithmetic; coefficient vectors appear
-only where an element is built from or shown as one.
+only where an element is built from or shown as one.  The degree ``m``
+is at most 16, so that no input can ask for tables, or for an
+irreducibility search, of more than 2^16 steps.
 
 The modulus must be monic, irreducible and primitive mod 2, and (for
 ``m >= 2``) the Hensel lift of its reduction, ``xi^(2^m - 1) = 1``: then
@@ -49,6 +51,8 @@ from .errors import (ContextMismatch, FrobeniusIncompatible, InvalidArgument,
                      ShapeMismatch)
 
 __all__ = ["RingContext", "RingElem", "FieldElem", "AutomorphismSpec"]
+
+_MAX_DEGREE = 16
 
 
 def _f2_is_irreducible(p: int, m: int) -> bool:
@@ -295,7 +299,7 @@ class RingContext:
     Parameters
     ----------
     m:
-        Degree of the extension, at least 1.
+        Degree of the extension, from 1 to 16.
     h:
         Coefficients ``(h_0, ..., h_m)`` of the modulus, ascending: monic
         of degree ``m``, irreducible and primitive mod 2, and for
@@ -304,7 +308,7 @@ class RingContext:
     Raises
     ------
     InvalidArgument
-        When ``m < 1``.
+        When ``m`` is outside ``1..16``, before any table is built.
     NotMonic, NotBasicIrreducible, NotPrimitive, FrobeniusIncompatible
         When the modulus fails the corresponding requirement, checked
         in that order.
@@ -316,6 +320,9 @@ class RingContext:
     def __init__(self, m: int, h: Sequence[int]):
         if m < 1:
             raise InvalidArgument("degree m must be at least 1")
+        if m > _MAX_DEGREE:
+            raise InvalidArgument(
+                f"degree m must be between 1 and {_MAX_DEGREE}")
         h = tuple(int(c) % 4 for c in h)
         if len(h) != m + 1 or h[m] != 1:
             raise NotMonic(f"h must be monic of degree {m}")

@@ -271,18 +271,11 @@ class StandardFormResult:
     a12: tuple
 
 
-def _find_unit_pivot(rows, free, s):
-    for col in range(s):
-        for i in free:
-            if rows[i][1][col].is_unit():
-                return i, col
-    return None
-
-
-def _find_field_pivot(vecs, free, width):
+def _pivot(free, width, entry):
+    """First ``(row, col)`` with ``entry(row, col)`` true, column-major."""
     for col in range(width):
         for i in free:
-            if vecs[i][col]:
+            if entry(i, col):
                 return i, col
     return None
 
@@ -319,7 +312,7 @@ def standard_form(mat: MixedMatrix) -> StandardFormResult:
     # every round.
     k1_rows, k1_cols = [], []
     while True:
-        hit = _find_unit_pivot(rows, free, s)
+        hit = _pivot(free, s, lambda i, c: rows[i][1][c].is_unit())
         if hit is None:
             break
         i, col = hit
@@ -336,8 +329,7 @@ def standard_form(mat: MixedMatrix) -> StandardFormResult:
     # the k1 identity block.
     k0_rows, k0_cols = [], []
     while True:
-        hit = _find_field_pivot([rows[i][0] for i in range(n)],
-                                free, r)
+        hit = _pivot(free, r, lambda i, c: rows[i][0][c])
         if hit is None:
             break
         i, col = hit
@@ -350,24 +342,17 @@ def standard_form(mat: MixedMatrix) -> StandardFormResult:
         k0_cols.append(col)
 
     # Doubled pivots (k2).  Remaining free rows have zero binary part
-    # and doubled quaternary part; reduce their halves over the field.
-    # Each pivot column is cleared from the earlier k2 rows too, so the
-    # k2 block ends up 2I.
+    # and doubled quaternary part, so an entry is nonzero exactly when
+    # its half is; reduce the halves over the field.  Each pivot column
+    # is cleared from the earlier k2 rows too, so the k2 block ends up
+    # 2I.
     k2_rows, k2_cols = [], []
     while True:
-        halved = {i: [b.halve() for b in rows[i][1]] for i in free}
-        hit = None
-        for col in range(s):
-            for i in free:
-                if halved[i][col]:
-                    hit = (i, col)
-                    break
-            if hit:
-                break
+        hit = _pivot(free, s, lambda i, c: rows[i][1][c])
         if hit is None:
             break
         i, col = hit
-        scale_row(i, halved[i][col].inverse().lift())
+        scale_row(i, rows[i][1][col].halve().inverse().lift())
         for j in free + k2_rows:
             if j != i and rows[j][1][col]:
                 subtract(j, rows[j][1][col].halve().lift(), i)

@@ -15,11 +15,14 @@ three template rows::
     (l1, 2q)      q   quaternary, l1 binary
 
 ``validate_generators`` checks the compatibility conditions case by
-case and reports each one by name.  ``derive_cofactors`` computes the
-cofactors ``h_f, h_g, h_q`` and the mixing polynomial ``k``;
-``spanning_set`` lays out the shifts of the template rows whose span
-is the whole code, and ``skew_code_cardinality`` counts the codewords
-from the cofactor degrees alone.
+case and reports each one by name.  ``derive_cofactors`` returns the
+cofactors ``h_f, h_g, h_q`` and the mixing polynomial ``k``: they are
+the quotients of the divisions the report names, taken from the same
+single pass over the cases, and it raises with the first required
+division that leaves a remainder.  ``spanning_set`` lays out the
+shifts of the template rows whose span is the whole code, and
+``skew_code_cardinality`` counts the codewords from the cofactor
+degrees alone.
 
 When ``g + 2a`` does not divide ``x^s - 1`` exactly but ``g`` does,
 the tuple is still accepted: the leftover of the ``g`` row under
@@ -29,7 +32,7 @@ a derived ``(l1, 2q)`` generator.  The validation report says so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import (ContextMismatch, DivisionByZero, DivisorNotUnitLeading,
@@ -238,167 +241,6 @@ def _exact(num: SkewPoly, den: SkewPoly):
     return quo if rem.is_zero else None
 
 
-def _f_multiple(prod: SkewPoly, f_eff) -> bool:
-    """Whether prod lies in the f lattice; vacuous with no binary side."""
-    if f_eff is None:
-        return prod.is_zero
-    return _exact(prod, f_eff) is not None
-
-
-def _f_for_checks(gens: SkewGenerators):
-    if gens.f is not None:
-        return gens.f, None
-    f_eff = SkewPoly.x_pow_minus_one(gens.autom, gens.r, False) \
-        if gens.r else None
-    return f_eff, "f absent, divisibilities read against x^r-1"
-
-
-def validate_generators(gens: SkewGenerators) -> ValidationReport:
-    """Check the case conditions of a generator tuple, one by one.
-
-    Nothing is raised for a failed condition; each is reported by name
-    with a detail string.  The report's ``valid`` property is the
-    conjunction.
-    """
-    autom = gens.autom
-    checks = []
-    notes = []
-    case = gens.case
-
-    f_eff, f_note = _f_for_checks(gens)
-    if f_note:
-        notes.append(f_note)
-
-    if gens.r:
-        xr1 = SkewPoly.x_pow_minus_one(autom, gens.r, False)
-        ok = _exact(xr1, f_eff) is not None
-        checks.append(ConditionCheck("f |r x^r-1 (mod 2)", ok,
-                                     "" if ok else "remainder is nonzero"))
-    xs1 = SkewPoly.x_pow_minus_one(autom, gens.s, False) if gens.s else None
-    xs1_ring = SkewPoly.x_pow_minus_one(autom, gens.s, True) if gens.s else None
-
-    def deg_check(name, p, bound, bound_name):
-        limit = bound.degree if bound is not None else float("inf")
-        val = p.degree if p is not None else float("-inf")
-        ok = val < limit
-        checks.append(ConditionCheck(
-            f"deg({name}) < deg({bound_name})", ok,
-            f"deg {val} vs {limit}" if not ok else ""))
-
-    if case == "binary":
-        return ValidationReport(case, tuple(checks), tuple(notes))
-
-    if case == "i":
-        notes.append("the divisibility names l; it is read as l1")
-        h_q = _exact(xs1, gens.q.mod2())
-        checks.append(ConditionCheck("q |r x^s-1 (mod 2)", h_q is not None,
-                                     "" if h_q else "remainder is nonzero"))
-        deg_check("l1", gens.l1, f_eff, "f")
-        if h_q is not None:
-            prod = (h_q * gens.l1).reduce_mod_xn(gens.r) if gens.l1 \
-                else SkewPoly.zero(autom, False)
-            ok = _f_multiple(prod, f_eff)
-            checks.append(ConditionCheck("f |r h_q*l1 (mod 2)", ok,
-                                         "" if ok else "remainder is nonzero"))
-        else:
-            checks.append(ConditionCheck("f |r h_q*l1 (mod 2)", False,
-                                         "h_q undefined"))
-        return ValidationReport(case, tuple(checks), tuple(notes))
-
-    if case == "ii":
-        deg_check("l", gens.l, f_eff, "f")
-        deg_check("a", gens.a, gens.g, "g")
-        gg = gens.g_plus_2a()
-        h_ga = _exact(xs1_ring, gg)
-        if h_ga is not None:
-            checks.append(ConditionCheck("g+2a |r x^s-1", True))
-            prod = (h_ga.mod2() * gens.l).reduce_mod_xn(gens.r) if gens.l \
-                else SkewPoly.zero(autom, False)
-            ok = _f_multiple(prod, f_eff)
-            checks.append(ConditionCheck("f |r h_{g,a}*l (mod 2)", ok,
-                                         "" if ok else "remainder is nonzero"))
-            return ValidationReport(case, tuple(checks), tuple(notes))
-        # g + 2a leaves a remainder; accept the tuple when g itself
-        # divides, materialising the leftover row h_g * (l, g+2a).
-        h_g = _exact(xs1_ring, gens.g)
-        checks.append(ConditionCheck(
-            "g+2a |r x^s-1, or g |r x^s-1 with a residual (l1, 2q) row",
-            h_g is not None,
-            "g+2a leaves a remainder; g divides exactly" if h_g is not None
-            else "neither g+2a nor g divides x^s-1"))
-        if h_g is None:
-            return ValidationReport(case, tuple(checks), tuple(notes))
-        notes.append("residual row (l1, 2q) = h_g * (l, g+2a) materialised")
-        l1m, qm = _materialized_residual(gens, h_g)
-        if qm is None:
-            # Residual has no quaternary part; the binary leftover must
-            # already be an f multiple.
-            prod = l1m if l1m is not None else SkewPoly.zero(autom, False)
-            ok = _f_multiple(prod, f_eff)
-            checks.append(ConditionCheck("f |r h_g*l (mod 2)", ok,
-                                         "" if ok else "remainder is nonzero"))
-            return ValidationReport(case, tuple(checks), tuple(notes))
-        h_q = _exact(xs1, qm)
-        checks.append(ConditionCheck(
-            "q |r x^s-1 (mod 2), q = h_g*a of the residual row",
-            h_q is not None, "" if h_q else "remainder is nonzero"))
-        if h_q is not None:
-            prod = (h_q * l1m).reduce_mod_xn(gens.r) if l1m \
-                else SkewPoly.zero(autom, False)
-            ok = _f_multiple(prod, f_eff)
-            checks.append(ConditionCheck("f |r h_q*l1 (mod 2)", ok,
-                                         "" if ok else "remainder is nonzero"))
-        return ValidationReport(case, tuple(checks), tuple(notes))
-
-    # Case iii.
-    g_bar = gens.g.mod2()
-    q_bar = gens.q.mod2()
-    a_bar = gens.a.mod2() if gens.a is not None \
-        else SkewPoly.zero(autom, False)
-    ok = _exact(g_bar, q_bar) is not None if q_bar else False
-    checks.append(ConditionCheck("q |r g (mod 2)", ok,
-                                 "" if ok else "remainder is nonzero"))
-    h_g = _exact(xs1, g_bar)
-    checks.append(ConditionCheck("g |r x^s-1 (mod 2)", h_g is not None,
-                                 "" if h_g else "remainder is nonzero"))
-    h_q = _exact(xs1, q_bar) if q_bar else None
-    checks.append(ConditionCheck("q |r x^s-1 (mod 2)", h_q is not None,
-                                 "" if h_q else "remainder is nonzero"))
-    k = None
-    if h_g is not None and q_bar:
-        k = _exact((h_g * a_bar).reduce_mod_xn(gens.s), q_bar)
-    checks.append(ConditionCheck("q |r h_g*a (mod 2)", k is not None,
-                                 "" if k is not None
-                                 else "no k with k*q = h_g*a"))
-    deg_check("l", gens.l, f_eff, "f")
-    deg_check("l1", gens.l1, f_eff, "f")
-    deg_check("a", gens.a, gens.q, "q")
-    if h_q is not None:
-        prod = (h_q * gens.l1).reduce_mod_xn(gens.r) if gens.l1 \
-            else SkewPoly.zero(autom, False)
-        ok = _f_multiple(prod, f_eff)
-        checks.append(ConditionCheck("f |r h_q*l1 (mod 2)", ok,
-                                     "" if ok else "remainder is nonzero"))
-    else:
-        checks.append(ConditionCheck("f |r h_q*l1 (mod 2)", False,
-                                     "h_q undefined"))
-    if k is not None and h_g is not None:
-        mix = SkewPoly.zero(autom, False)
-        if gens.l1 is not None:
-            mix = mix + k * gens.l1
-        if gens.l is not None:
-            mix = mix + h_g * gens.l
-        if gens.r:
-            mix = mix.reduce_mod_xn(gens.r)
-        ok = _f_multiple(mix, f_eff)
-        checks.append(ConditionCheck("f |r k*l1 + h_g*l (mod 2)", ok,
-                                     "" if ok else "remainder is nonzero"))
-    else:
-        checks.append(ConditionCheck("f |r k*l1 + h_g*l (mod 2)", False,
-                                     "k or h_g undefined"))
-    return ValidationReport(case, tuple(checks), tuple(notes))
-
-
 def _materialized_residual(gens: SkewGenerators, h_g: SkewPoly):
     """Residual row components h_g * (l, g+2a) with 2q halved out.
 
@@ -420,74 +262,163 @@ def _materialized_residual(gens: SkewGenerators, h_g: SkewPoly):
     return l1m, qm
 
 
-def derive_cofactors(gens: SkewGenerators) -> SkewGenerators:
-    """Complete a tuple with ``h_f``, ``h_g``, ``h_q`` and ``k``.
+def _analyse(gens: SkewGenerators):
+    """Walk the case conditions of a tuple once.
 
-    ``h_g`` is quaternary in case ii (the cofactor of ``g + 2a``, or of
-    ``g`` when only the fallback division is exact) and binary in case
-    iii.  ``h_q`` and ``k`` are always binary.
-
-    Raises
-    ------
-    NotRightDivisible
-        When a division this case requires leaves a remainder.
+    Returns the :class:`ValidationReport`, the tuple completed with
+    every cofactor that exists, and the message of the first division
+    the case requires that leaves a remainder (None when all are exact).
     """
-    autom = gens.autom
-    case = gens.case
+    autom, r, s, case = gens.autom, gens.r, gens.s, gens.case
+    checks, notes = [], []
+    error = None
+    zero = SkewPoly.zero(autom, False)
     h_f = h_g = h_q = k = None
     l1, q = gens.l1, gens.q
     materialized = False
 
-    if gens.f is not None:
-        xr1 = SkewPoly.x_pow_minus_one(autom, gens.r, False)
-        h_f = _exact(xr1, gens.f)
-        if h_f is None:
-            raise NotRightDivisible("f does not right-divide x^r-1 (mod 2)")
+    def check(name, ok, detail="remainder is nonzero", passed=""):
+        checks.append(ConditionCheck(name, ok, passed if ok else detail))
 
-    if gens.s:
-        xs1 = SkewPoly.x_pow_minus_one(autom, gens.s, False)
-        xs1_ring = SkewPoly.x_pow_minus_one(autom, gens.s, True)
+    def require(name, quo, message, detail="remainder is nonzero",
+                passed=""):
+        """Report a division the case needs; remember the first failure."""
+        nonlocal error
+        check(name, quo is not None, detail, passed)
+        if quo is None and error is None:
+            error = message
+        return quo
+
+    def deg_check(name, p, bound, bound_name):
+        limit = bound.degree if bound is not None else float("inf")
+        val = p.degree if p is not None else float("-inf")
+        check(f"deg({name}) < deg({bound_name})", val < limit,
+              f"deg {val} vs {limit}")
+
+    def times(h, p):
+        """h*p mod x^r-1, zero for an absent p, None for an absent h."""
+        if h is None:
+            return None
+        return (h * p).reduce_mod_xn(r) if p else zero
+
+    # An absent f reads as x^r-1, whose lattice holds only zero mod x^r-1.
+    f = gens.f
+    if f is None:
+        f = SkewPoly.x_pow_minus_one(autom, r, False) if r else None
+        notes.append("f absent, divisibilities read against x^r-1")
+
+    def f_divides(name, prod, undefined=""):
+        if prod is None:
+            check(name, False, undefined)
+        else:
+            check(name, prod.is_zero if f is None
+                  else _exact(prod, f) is not None)
+
+    if r:
+        h_f = require("f |r x^r-1 (mod 2)",
+                      _exact(SkewPoly.x_pow_minus_one(autom, r, False), f),
+                      "f does not right-divide x^r-1 (mod 2)")
+    xs1 = SkewPoly.x_pow_minus_one(autom, s, False) if s else None
 
     if case == "i":
-        h_q = _exact(xs1, gens.q.mod2())
-        if h_q is None:
-            raise NotRightDivisible("q does not right-divide x^s-1 (mod 2)")
+        notes.append("the divisibility names l; it is read as l1")
+        h_q = require("q |r x^s-1 (mod 2)", _exact(xs1, gens.q.mod2()),
+                      "q does not right-divide x^s-1 (mod 2)")
+        deg_check("l1", gens.l1, f, "f")
+        f_divides("f |r h_q*l1 (mod 2)", times(h_q, gens.l1),
+                  "h_q undefined")
 
     elif case == "ii":
+        deg_check("l", gens.l, f, "f")
+        deg_check("a", gens.a, gens.g, "g")
+        xs1_ring = SkewPoly.x_pow_minus_one(autom, s, True)
         h_g = _exact(xs1_ring, gens.g_plus_2a())
-        if h_g is None:
-            h_g = _exact(xs1_ring, gens.g)
-            if h_g is None:
-                raise NotRightDivisible(
-                    "neither g+2a nor g right-divides x^s-1")
-            l1m, qm = _materialized_residual(gens, h_g)
-            if qm is not None:
-                materialized = True
-                l1 = l1m
-                q = qm.lift()
-                h_q = _exact(xs1, qm)
-                if h_q is None:
-                    raise NotRightDivisible(
-                        "the residual q = h_g*a does not right-divide "
-                        "x^s-1 (mod 2)")
+        if h_g is not None:
+            check("g+2a |r x^s-1", True)
+            f_divides("f |r h_{g,a}*l (mod 2)", times(h_g.mod2(), gens.l))
+        else:
+            # g + 2a leaves a remainder; accept the tuple when g itself
+            # divides, materialising the leftover row h_g * (l, g+2a).
+            h_g = require(
+                "g+2a |r x^s-1, or g |r x^s-1 with a residual (l1, 2q) row",
+                _exact(xs1_ring, gens.g),
+                "neither g+2a nor g right-divides x^s-1",
+                "neither g+2a nor g divides x^s-1",
+                "g+2a leaves a remainder; g divides exactly")
+            if h_g is not None:
+                notes.append(
+                    "residual row (l1, 2q) = h_g * (l, g+2a) materialised")
+                l1m, qm = _materialized_residual(gens, h_g)
+                if qm is None:
+                    # Residual has no quaternary part; the binary
+                    # leftover must already be an f multiple.
+                    f_divides("f |r h_g*l (mod 2)", l1m or zero)
+                else:
+                    materialized, l1, q = True, l1m, qm.lift()
+                    h_q = require(
+                        "q |r x^s-1 (mod 2), q = h_g*a of the residual row",
+                        _exact(xs1, qm), "the residual q = h_g*a does not "
+                        "right-divide x^s-1 (mod 2)")
+                    if h_q is not None:
+                        f_divides("f |r h_q*l1 (mod 2)", times(h_q, l1m))
 
     elif case == "iii":
         g_bar, q_bar = gens.g.mod2(), gens.q.mod2()
-        h_g = _exact(xs1, g_bar)
-        if h_g is None:
-            raise NotRightDivisible("g does not right-divide x^s-1 (mod 2)")
-        h_q = _exact(xs1, q_bar)
-        if h_q is None:
-            raise NotRightDivisible("q does not right-divide x^s-1 (mod 2)")
-        a_bar = gens.a.mod2() if gens.a is not None \
-            else SkewPoly.zero(autom, False)
-        k = _exact((h_g * a_bar).reduce_mod_xn(gens.s), q_bar)
-        if k is None:
-            raise NotRightDivisible("h_g*a is not a right multiple of q "
-                                    "(mod 2)")
+        a_bar = gens.a.mod2() if gens.a is not None else zero
+        check("q |r g (mod 2)", _exact(g_bar, q_bar) is not None)
+        h_g = require("g |r x^s-1 (mod 2)", _exact(xs1, g_bar),
+                      "g does not right-divide x^s-1 (mod 2)")
+        h_q = require("q |r x^s-1 (mod 2)", _exact(xs1, q_bar),
+                      "q does not right-divide x^s-1 (mod 2)")
+        if h_g is not None:
+            k = _exact((h_g * a_bar).reduce_mod_xn(s), q_bar)
+        require("q |r h_g*a (mod 2)", k,
+                "h_g*a is not a right multiple of q (mod 2)",
+                "no k with k*q = h_g*a")
+        deg_check("l", gens.l, f, "f")
+        deg_check("l1", gens.l1, f, "f")
+        deg_check("a", gens.a, gens.q, "q")
+        f_divides("f |r h_q*l1 (mod 2)", times(h_q, gens.l1),
+                  "h_q undefined")
+        f_divides("f |r k*l1 + h_g*l (mod 2)",
+                  None if k is None else times(k, gens.l1)
+                  + times(h_g, gens.l), "k or h_g undefined")
 
-    return replace(gens, l1=l1, q=q, h_f=h_f, h_g=h_g, h_q=h_q, k=k,
-                   materialized=materialized)
+    report = ValidationReport(case, tuple(checks), tuple(notes))
+    full = replace(gens, l1=l1, q=q, h_f=h_f if gens.f is not None else None,
+                   h_g=h_g, h_q=h_q, k=k, materialized=materialized)
+    return report, full, error
+
+
+def validate_generators(gens: SkewGenerators) -> ValidationReport:
+    """Check the case conditions of a generator tuple, one by one.
+
+    Nothing is raised for a failed condition; each is reported by name
+    with a detail string.  The report's ``valid`` property is the
+    conjunction.
+    """
+    return _analyse(gens)[0]
+
+
+def derive_cofactors(gens: SkewGenerators) -> SkewGenerators:
+    """Complete a tuple with ``h_f``, ``h_g``, ``h_q`` and ``k``.
+
+    The cofactors are the quotients of the divisions that
+    :func:`validate_generators` reports, from the same pass.  ``h_g``
+    is quaternary in case ii (the cofactor of ``g + 2a``, or of ``g``
+    when only the fallback division is exact) and binary in case iii.
+    ``h_q`` and ``k`` are always binary.
+
+    Raises
+    ------
+    NotRightDivisible
+        With the first division this case requires that leaves a
+        remainder, in the order the report lists them.
+    """
+    _, full, error = _analyse(gens)
+    if error is not None:
+        raise NotRightDivisible(error)
+    return full
 
 
 @dataclass(frozen=True)
@@ -527,26 +458,26 @@ def spanning_set(gens: SkewGenerators):
     r, s = gens.r, gens.s
 
     def shifts(pair, count):
-        out = []
-        for i in range(count):
-            xp = SkewPoly.x_power(autom, i, True)
-            out.append(from_pair(module_mul(xp, pair)))
-        return out
+        # Row i is x^i acting on the template pair: the i-th shift.
+        rows = [from_pair(pair)] if count else []
+        while len(rows) < count:
+            rows.append(theta_shift(rows[-1], autom))
+        return tuple(rows)
 
     zero_f = SkewPoly.zero(autom, False)
     zero_r = SkewPoly.zero(autom, True)
     s1 = s2 = s3 = ()
     if gens.f is not None:
         pair = ModulePair(gens.f, zero_r, r, s)
-        s1 = tuple(shifts(pair, _shift_count(gens.h_f)))
+        s1 = shifts(pair, _shift_count(gens.h_f))
     if gens.g is not None:
         pair = ModulePair(gens.l if gens.l is not None else zero_f,
                           gens.g_plus_2a(), r, s)
-        s2 = tuple(shifts(pair, _shift_count(gens.h_g)))
+        s2 = shifts(pair, _shift_count(gens.h_g))
     if gens.q is not None:
         pair = ModulePair(gens.l1 if gens.l1 is not None else zero_f,
                           (2 * gens.q).reduce_mod_xn(s), r, s)
-        s3 = tuple(shifts(pair, _shift_count(gens.h_q)))
+        s3 = shifts(pair, _shift_count(gens.h_q))
     ss = SpanningSet(s1, s2, s3)
     mat = MixedMatrix(ctx, r, s, ss.rows)
     return ss, mat

@@ -69,6 +69,18 @@ def test_degree_below_one_names_its_error():
     assert res.stderr == "InvalidArgument: degree m must be at least 1\n"
 
 
+def test_degree_above_sixteen_names_its_error(tmp_path):
+    res = run_cli("ctx-info", "--m", "64", "--h", "x^64+x^4+x^3+x+1")
+    assert res.returncode == 1
+    assert res.stderr == \
+        "InvalidArgument: degree m must be between 1 and 16\n"
+    path = tmp_path / "code.gens"
+    path.write_text("m: 40\nh: 1+x^40\nr: 1\ns: 1\n")
+    res = run_cli("validate-gens", str(path))
+    assert (res.returncode, res.stderr) == (
+        1, "InvalidArgument: degree m must be between 1 and 16\n")
+
+
 def test_skew_mul_is_noncommutative():
     left = run_cli("skew-mul", "--m", "2", "(w)*x", "(1+w)*x")
     right = run_cli("skew-mul", "--m", "2", "(1+w)*x", "(w)*x")

@@ -1,5 +1,7 @@
 """Ring and field arithmetic, context validation, Frobenius action."""
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -45,6 +47,18 @@ class TestContextValidation:
 
     def test_degree_one_accepted(self, ctx1):
         assert ctx1.h == (1, 1)
+
+    @pytest.mark.parametrize("m, h", [
+        (17, (1, 0, 0, 1) + (0,) * 13 + (1,)),   # x^17+x^3+1
+        (17, (1, 1)),                            # not even of degree 17
+        (64, (1, 1, 0, 1, 1) + (0,) * 59 + (1,)),  # x^64+x^4+x^3+x+1
+    ])
+    def test_degree_above_sixteen_rejected_at_once(self, m, h):
+        start = time.perf_counter()
+        with pytest.raises(InvalidArgument,
+                           match="^degree m must be between 1 and 16$"):
+            RingContext(m, h)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestRingArithmetic:

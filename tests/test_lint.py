@@ -3,7 +3,9 @@
 Checks must survive ``python -O``, which strips ``assert``, no handler
 may swallow every error, and errors raised on purpose are named
 :class:`~artifact.errors.ArtifactError` classes, not bare ``ValueError``.
-No ``artifact`` module imports an underscore name from another.  The
+No ``artifact`` module imports an underscore name from another, and
+every underscore name a module defines at top level is read in that
+module, so a helper left behind by a refactor is flagged.  The
 enumeration oracle must stay independent of the structural modules it
 cross-checks, and it alone may import numpy: the package and the
 command line import it lazily.
@@ -22,9 +24,31 @@ def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _unread_privates(tree):
+    """``(line, name)`` of each top-level ``_name`` the module never reads."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined.setdefault(node.name, node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined.setdefault(name.id, node.lineno)
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted((line, name) for name, line in defined.items()
+                  if name.startswith("_") and name not in read
+                  and not (name.startswith("__") and name.endswith("__")))
+
+
 def violations(tree):
     """``(line, rule)`` for every assert, bare except, except Exception,
-    raise ValueError and underscore name imported from the package."""
+    raise ValueError, underscore name imported from the package and
+    top-level underscore name that the module never reads."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Assert):
             yield node.lineno, "assert statement"
@@ -47,6 +71,8 @@ def violations(tree):
             if any(isinstance(c, ast.Name) and c.id == "Exception"
                    for c in caught):
                 yield node.lineno, "except Exception"
+    for line, _ in _unread_privates(tree):
+        yield line, "unread private"
 
 
 def test_modules_found():
@@ -71,11 +97,17 @@ def test_guard_flags_each_rule():
            "    from artifact.textio import _Parser\n"
            "    from . import errors, _tables\n"
            "    from numpy import _NoValue\n"
-           "    from __future__ import annotations\n")
+           "    from __future__ import annotations\n"
+           "_read, _unread = 1, 2\n"
+           "def _helper():\n    return _read\n"
+           "class _Left:\n    __slots__ = ()\n"
+           "__all__ = []\n")
     assert list(violations(ast.parse(src))) == [
         (1, "assert statement"), (4, "bare except"), (8, "except Exception"),
         (15, "raise ValueError"), (19, "private import"),
-        (20, "private import"), (21, "private import")]
+        (20, "private import"), (21, "private import"),
+        (24, "unread private"), (25, "unread private"),
+        (27, "unread private")]
 
 
 def imports(tree, on_load_only=False):

@@ -1,19 +1,28 @@
 """Byte-identical printing, indexing and ``verify-paper`` output.
 
-The digests were recorded from the coefficient-vector arithmetic that
-the 2-adic representation replaced.  A change in how an element prints,
-in its ``coeffs``, in the order of ``all_ring_elems`` or in the text of
-``verify-paper`` breaks them.
+The element digests were recorded from the coefficient-vector
+arithmetic that the 2-adic representation replaced.  A change in how an
+element prints, in its ``coeffs``, in the order of ``all_ring_elems`` or
+in the text of ``verify-paper`` breaks them.  The generator-tuple and
+standard-form digests pin the validation reports, the derived cofactors
+or ``NotRightDivisible`` messages, the spanning sets, the standard forms
+and the parity checks of seeded random inputs.
 """
 
 import hashlib
+import random
 import subprocess
 import sys
 import timeit
 
 import pytest
+from hypothesis import given, strategies as st
 
-from artifact import RingContext
+from artifact import (AutomorphismSpec, MixedMatrix, MixedWord,
+                      NotRightDivisible, RingContext, SkewGenerators,
+                      SkewPoly, derive_cofactors, parity_check,
+                      skew_code_cardinality, spanning_set, standard_form,
+                      validate_generators)
 from artifact.galois import _vec_str
 
 # Default moduli of the command line, with the sha256 of the newline-
@@ -81,3 +90,162 @@ def test_str_no_slower_than_formatting_coefficients(ctx2):
 
     assert best(lambda: [str(e) for e in elems]) <= \
         best(lambda: [_vec_str(e.coeffs) for e in elems])
+
+
+# Generator tuples and matrices, drawn from seeded generators.  The
+# digests below were recorded before validate_generators and
+# derive_cofactors were merged into one case analysis and before the
+# pivot scans of standard_form were merged into one helper.
+
+_MODULI = {1: (1, 1), 2: (1, 1, 1), 3: (3, 1, 2, 1)}
+_DIVISIONS = frozenset({
+    "f |r x^r-1 (mod 2)", "q |r x^s-1 (mod 2)", "g+2a |r x^s-1",
+    "g+2a |r x^s-1, or g |r x^s-1 with a residual (l1, 2q) row",
+    "q |r x^s-1 (mod 2), q = h_g*a of the residual row",
+    "g |r x^s-1 (mod 2)", "q |r h_g*a (mod 2)"})
+
+
+class _Draw:
+    """Random generator tuples over one skew ring.
+
+    Components are random polynomials or right divisors of ``x^n - 1``,
+    the latter drawn from 1, the monic polynomials of degree 1..3 with
+    integer coefficients and six random monic ones of degree 2.
+    """
+
+    def __init__(self, rng, autom):
+        self.rng, self.autom = rng, autom
+        ctx = autom.ctx
+        self.elems = {True: list(ctx.all_ring_elems()),
+                      False: list(ctx.all_field_elems())}
+        self.pools = {}
+
+    def poly(self, ring, top):
+        """A random polynomial of degree at most ``top``; may be zero."""
+        size = self.rng.randint(1, top + 1)
+        return SkewPoly(self.autom, [self.rng.choice(self.elems[ring])
+                                     for _ in range(size)], ring)
+
+    def divisor(self, n, ring):
+        if (n, ring) not in self.pools:
+            top = 4 if ring else 2
+            cands = [SkewPoly.from_ints(self.autom, [c // top ** i % top
+                                                     for i in range(d)]
+                                        + [1], ring)
+                     for d in (1, 2, 3) for c in range(top ** d)]
+            cands += [self.poly(ring, 1) + SkewPoly.x_power(self.autom, 2,
+                                                            ring)
+                      for _ in range(6)]
+            xn1 = SkewPoly.x_pow_minus_one(self.autom, n, ring)
+            self.pools[n, ring] = [SkewPoly.one(self.autom, ring)] + [
+                d for d in cands if xn1.right_divmod(d)[1].is_zero]
+        return self.rng.choice(self.pools[n, ring])
+
+    def maybe(self, make, p=0.75):
+        return make() if self.rng.random() < p else None
+
+    def gens(self):
+        rng = self.rng
+        case = rng.choice(("binary", "i", "ii", "iii"))
+        r = rng.randint(1 if case == "binary" else 0, 7)
+        s = rng.randint(0 if case == "binary" else 1, 7)
+        parts = {}
+        if r:
+            parts["f"] = self.maybe(lambda: self.divisor(r, False)
+                                    if rng.random() < 0.7
+                                    else self.poly(False, 3))
+        binary = (lambda: self.poly(False, 3)) if r else (lambda: None)
+        if case in ("ii", "iii"):
+            parts["g"] = self.divisor(s, True) if rng.random() < 0.7 \
+                else self.poly(True, 3)
+            parts["a"] = self.maybe(lambda: self.poly(True, 2), 0.6)
+            parts["l"] = self.maybe(binary, 0.6)
+        if case in ("i", "iii"):
+            if case == "iii" and rng.random() < 0.4:
+                parts["q"] = parts["g"]
+            else:
+                parts["q"] = self.divisor(s, False).lift() \
+                    if rng.random() < 0.7 else self.poly(True, 3)
+            parts["l1"] = self.maybe(binary, 0.6)
+        return SkewGenerators(autom=self.autom, r=r, s=s, **parts)
+
+
+def _gens_text(gens):
+    report = validate_generators(gens)
+    try:
+        full = derive_cofactors(gens)
+    except NotRightDivisible as exc:
+        return f"{report}\nNotRightDivisible: {exc}"
+    ss, mat = spanning_set(full)
+    slots = ("l1", "q", "h_f", "h_g", "h_q", "k")
+    cof = " ".join(f"{n}={getattr(full, n)}" for n in slots)
+    return (f"{report}\n{cof} materialized={full.materialized}\n"
+            f"rows {len(ss.s1)} {len(ss.s2)} {len(ss.s3)} "
+            f"size {skew_code_cardinality(full)}\n{mat}")
+
+
+def _gens_corpus(count=300, seed=9):
+    rng = random.Random(seed)
+    draws = [_Draw(rng, AutomorphismSpec(RingContext(m, h), t))
+             for m, h in sorted(_MODULI.items()) for t in (1, 2)]
+    return [rng.choice(draws).gens() for _ in range(count)]
+
+
+def _matrix_corpus(count=400, seed=5):
+    rng = random.Random(seed)
+    ctxs = [RingContext(m, h) for m, h in sorted(_MODULI.items())]
+    out = []
+    for _ in range(count):
+        ctx = rng.choice(ctxs)
+        fields, rings = list(ctx.all_field_elems()), list(ctx.all_ring_elems())
+        r, s = rng.randint(0, 5), rng.randint(0, 5)
+        if r + s == 0:
+            s = 1
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            w = MixedWord(ctx, [rng.choice(fields) for _ in range(r)],
+                          [rng.choice(rings) for _ in range(s)])
+            rows.append(w.scale(ctx.ring((2,))) if rng.random() < 0.4
+                        else w)
+        out.append(MixedMatrix(ctx, r, s, rows))
+    return out
+
+
+def _std_text(mat):
+    sf = standard_form(mat)
+    return (f"{sf.code_type} {sf.bin_perm} {sf.quat_perm}\n{sf.g_std}\n--\n"
+            f"{parity_check(sf)}")
+
+
+GENS_SHA = \
+    "715181d5435c0a346121660cc96c054b07e5ff51b3bf9d79f803f6101d33129a"
+STD_FORM_SHA = \
+    "d63882224dd808ce88744c8346efd5d436177095c2d14f45da32842b4f0df637"
+
+
+def test_generator_tuples_analyse_as_before():
+    texts = [_gens_text(g) for g in _gens_corpus()]
+    assert {t.split("\n", 1)[0] for t in texts} == {
+        "case binary", "case i", "case ii", "case iii"}
+    assert sum("NotRightDivisible" in t for t in texts) >= 50
+    assert _sha("\n\n".join(texts)) == GENS_SHA
+
+
+def test_standard_forms_as_before():
+    mats = _matrix_corpus()
+    assert max(standard_form(m).code_type.k2 for m in mats) >= 2
+    assert _sha("\n\n".join(_std_text(m) for m in mats)) == STD_FORM_SHA
+
+
+@pytest.mark.parametrize("m, t", [(2, 1), (3, 1), (3, 2)])
+@given(rng=st.randoms(use_true_random=False))
+def test_derive_raises_exactly_on_a_failed_division(m, t, rng):
+    gens = _Draw(rng, AutomorphismSpec(RingContext(m, _MODULI[m]), t)).gens()
+    report = validate_generators(gens)
+    failed = set(report.failed_names()) & _DIVISIONS
+    try:
+        derive_cofactors(gens)
+    except NotRightDivisible:
+        assert failed and not report.valid
+    else:
+        assert not failed
