@@ -457,13 +457,12 @@ class AutomorphismSpec:
         Any positive integer; only ``t mod m`` matters.
     """
 
-    __slots__ = ("ctx", "t_raw", "t")
+    __slots__ = ("ctx", "t")
 
     def __init__(self, ctx: RingContext, t: int = 1):
         if t < 1:
             raise InvalidArgument("t must be a positive integer")
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "t_raw", t)
         object.__setattr__(self, "t", (t - 1) % ctx.m + 1)
 
     def __setattr__(self, name, value):

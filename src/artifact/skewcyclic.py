@@ -233,12 +233,16 @@ class ValidationReport:
 
 
 def _exact(num: SkewPoly, den: SkewPoly):
-    """Quotient when den right-divides num, else None."""
+    """``(quotient, None)`` when den right-divides num.
+
+    Otherwise ``(None, why)``, where `why` names a zero divisor or a
+    non-unit leading coefficient and is None for a nonzero remainder.
+    """
     try:
         quo, rem = num.right_divmod(den)
-    except (DivisorNotUnitLeading, DivisionByZero):
-        return None
-    return quo if rem.is_zero else None
+    except (DivisorNotUnitLeading, DivisionByZero) as exc:
+        return None, str(exc)
+    return (quo, None) if rem.is_zero else (None, None)
 
 
 def _materialized_residual(gens: SkewGenerators, h_g: SkewPoly):
@@ -267,7 +271,7 @@ def _analyse(gens: SkewGenerators):
 
     Returns the :class:`ValidationReport`, the tuple completed with
     every cofactor that exists, and the message of the first division
-    the case requires that leaves a remainder (None when all are exact).
+    the case requires that fails (None when all are exact).
     """
     autom, r, s, case = gens.autom, gens.r, gens.s, gens.case
     checks, notes = [], []
@@ -280,11 +284,17 @@ def _analyse(gens: SkewGenerators):
     def check(name, ok, detail="remainder is nonzero", passed=""):
         checks.append(ConditionCheck(name, ok, passed if ok else detail))
 
-    def require(name, quo, message, detail="remainder is nonzero",
+    def divides(name, division, detail="remainder is nonzero", passed=""):
+        """Report an `_exact` division; a refused one says why."""
+        quo, why = division
+        check(name, quo is not None, why or detail, passed)
+        return quo
+
+    def require(name, division, message, detail="remainder is nonzero",
                 passed=""):
         """Report a division the case needs; remember the first failure."""
         nonlocal error
-        check(name, quo is not None, detail, passed)
+        quo = divides(name, division, detail, passed)
         if quo is None and error is None:
             error = message
         return quo
@@ -310,9 +320,10 @@ def _analyse(gens: SkewGenerators):
     def f_divides(name, prod, undefined=""):
         if prod is None:
             check(name, False, undefined)
+        elif f is None:
+            check(name, prod.is_zero)
         else:
-            check(name, prod.is_zero if f is None
-                  else _exact(prod, f) is not None)
+            divides(name, _exact(prod, f))
 
     if r:
         h_f = require("f |r x^r-1 (mod 2)",
@@ -332,7 +343,7 @@ def _analyse(gens: SkewGenerators):
         deg_check("l", gens.l, f, "f")
         deg_check("a", gens.a, gens.g, "g")
         xs1_ring = SkewPoly.x_pow_minus_one(autom, s, True)
-        h_g = _exact(xs1_ring, gens.g_plus_2a())
+        h_g, _ = _exact(xs1_ring, gens.g_plus_2a())
         if h_g is not None:
             check("g+2a |r x^s-1", True)
             f_divides("f |r h_{g,a}*l (mod 2)", times(h_g.mod2(), gens.l))
@@ -365,16 +376,15 @@ def _analyse(gens: SkewGenerators):
     elif case == "iii":
         g_bar, q_bar = gens.g.mod2(), gens.q.mod2()
         a_bar = gens.a.mod2() if gens.a is not None else zero
-        check("q |r g (mod 2)", _exact(g_bar, q_bar) is not None)
+        divides("q |r g (mod 2)", _exact(g_bar, q_bar))
         h_g = require("g |r x^s-1 (mod 2)", _exact(xs1, g_bar),
                       "g does not right-divide x^s-1 (mod 2)")
         h_q = require("q |r x^s-1 (mod 2)", _exact(xs1, q_bar),
                       "q does not right-divide x^s-1 (mod 2)")
-        if h_g is not None:
-            k = _exact((h_g * a_bar).reduce_mod_xn(s), q_bar)
-        require("q |r h_g*a (mod 2)", k,
-                "h_g*a is not a right multiple of q (mod 2)",
-                "no k with k*q = h_g*a")
+        k = require("q |r h_g*a (mod 2)", (None, None) if h_g is None
+                    else _exact((h_g * a_bar).reduce_mod_xn(s), q_bar),
+                    "h_g*a is not a right multiple of q (mod 2)",
+                    "no k with k*q = h_g*a")
         deg_check("l", gens.l, f, "f")
         deg_check("l1", gens.l1, f, "f")
         deg_check("a", gens.a, gens.q, "q")

@@ -107,9 +107,6 @@ class SkewPoly:
             raise DivisionByZero("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def coeff(self, k: int):
         """Coefficient of ``x^k`` (zero beyond the degree)."""
         if 0 <= k < len(self.coeffs):

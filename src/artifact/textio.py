@@ -1,36 +1,41 @@
 """Text form of elements, polynomials, matrices and generator tuples.
 
-Grammar, whitespace insensitive inside an expression::
+Grammar, whitespace insensitive inside an expression, with ``A`` an
+atom letter and ``T`` a term rule::
 
-    element :=  ['-'] eterm (('+'|'-') eterm)*
-    eterm   :=  INT ['*' watom] | watom
-    watom   :=  'w' ['^' INT]
+    sum(T)     :=  ['-'] T (('+'|'-') T)*
+    mono(A)    :=  INT ['*' power(A)] | power(A)
+    power(A)   :=  A ['^' INT]
 
-    poly    :=  ['-'] pterm (('+'|'-') pterm)*
-    pterm   :=  coef ['*' xatom] | xatom
-    coef    :=  INT | watom | '(' element ')'
-    xatom   :=  'x' ['^' INT]
+    element    :=  sum(mono('w'))
+    poly       :=  sum(pterm)
+    pterm      :=  coef ['*' power('x')] | mono('x')
+    coef       :=  '(' element ')' | mono('w')
+    int_poly   :=  sum(mono('x'))
 
-`w` denotes the multiplicative generator of the coefficient ring or
-field; integer coefficients reduce mod 4 or mod 2 by context, so
-subtraction is accepted and normalised.  Emission is canonical:
-ascending powers, zero terms dropped, unit coefficients omitted,
-composite coefficients parenthesised.  Parsing an emitted string gives
-back an equal value and re-emitting it is a fixpoint.
+A polynomial term that starts `INT '*'` is `mono('x')` unless `w`
+follows the `*`: `2*x` is 2 times x, `2*w*x` is (2*w) times x.  The
+exponent of `x` is at most 4096.  `w` denotes the multiplicative
+generator of the coefficient ring or field; integer coefficients reduce
+mod 4 or mod 2 by context, so subtraction is accepted and normalised.
+Emission is canonical: ascending powers, zero terms dropped, unit
+coefficients omitted, composite coefficients parenthesised.  Parsing an
+emitted string gives back an equal value and re-emitting it is a
+fixpoint.
 
 A matrix file holds `m:`, `h:`, `r:`, `s:` headers in any order, a
 `rows:` marker, then one line per row, `a0 a1 | b0 b1 b2`, entries in
 the element grammar.  A generator file holds the same headers plus
 `t:` (default 1) and any of `f:`, `l:`, `g:`, `a:`, `l1:`, `q:` in the
 polynomial grammar; `f`, `l`, `l1` are binary, `g`, `a`, `q`
-quaternary.  `h:` is a plain integer polynomial in `x`.  Positions in
-errors are 0-based line and column.
+quaternary.  `h:` is an `int_poly`.  Positions in errors are 0-based
+line and column.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from .errors import ParseError
 from .galois import AutomorphismSpec, RingContext
@@ -51,199 +56,163 @@ __all__ = [
 
 _MAX_X_EXPONENT = 4096
 
-
-class _Tok:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind, self.text, self.line, self.col = kind, text, line, col
-
-
-def _scan(text: str, line: int, col: int) -> Tuple[List[_Tok], int, int]:
-    """Tokens plus the position just past the end of the text."""
-    toks = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 0
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "wx^*+-()":
-            toks.append(_Tok(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    return toks, line, col
+# An integer, a one-character symbol, or any other nonblank character,
+# which is refused.
+_TOKEN = re.compile(r"(\d+)|([wx^*+\-()])|([^ \t\r\n])")
 
 
 class _Parser:
-    def __init__(self, text: str, line: int = 0, col: int = 0):
-        self.toks, self.end_line, self.end_col = _scan(text, line, col)
+    """The tokens of one expression, each with its offset in the text.
+
+    Three sentinel tokens of kind None end the list, so that `peek` can
+    look two tokens ahead.  Line and column are worked out from the
+    offset only when an error is raised.
+    """
+
+    def __init__(self, text: str, line: int, col: int):
+        self.text, self.line, self.col = text, line, col
+        self.toks = []
+        for mt in _TOKEN.finditer(text):
+            if mt.lastindex == 3:
+                raise self.error(f"unexpected character {mt.group()!r}",
+                                 mt.start())
+            self.toks.append(("INT" if mt.lastindex == 1 else mt.group(),
+                              mt.group(), mt.start()))
+        self.toks += [(None, "", len(text))] * 3
         self.pos = 0
 
-    def peek(self) -> Optional[_Tok]:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    def error(self, message: str, offset: int) -> ParseError:
+        newlines = self.text.count("\n", 0, offset)
+        col = offset - self.text.rfind("\n", 0, offset) - 1
+        return ParseError(message, self.line + newlines,
+                          col if newlines else self.col + col)
 
-    def next(self) -> Optional[_Tok]:
-        t = self.peek()
-        if t is not None:
-            self.pos += 1
-        return t
+    def peek(self, ahead: int = 0):
+        """Kind of a token still to come; None past the end."""
+        return self.toks[self.pos + ahead][0]
+
+    def next(self) -> str:
+        self.pos += 1
+        return self.toks[self.pos - 1][1]
+
+    def take(self, kind: str) -> bool:
+        """Consume the next token if it is of `kind`."""
+        if self.toks[self.pos][0] != kind:
+            return False
+        self.pos += 1
+        return True
+
+    def expect(self, kind: str, expected: str):
+        """The next token, which must be of `kind`, as (text, offset)."""
+        found, text, offset = self.toks[self.pos]
+        if found != kind:
+            self.fail(expected)
+        self.pos += 1
+        return text, offset
 
     def fail(self, expected: str):
-        t = self.peek()
-        if t is None:
-            raise ParseError(f"expected {expected}, found end of input",
-                             self.end_line, self.end_col)
-        raise ParseError(f"expected {expected}, found {t.text!r}",
-                         t.line, t.col)
-
-    def expect(self, kind: str, expected: str) -> _Tok:
-        t = self.peek()
-        if t is None or t.kind != kind:
-            self.fail(expected)
-        return self.next()
+        kind, text, offset = self.toks[self.pos]
+        found = "end of input" if kind is None else repr(text)
+        raise self.error(f"expected {expected}, found {found}", offset)
 
     def done(self):
-        t = self.peek()
-        if t is not None:
-            raise ParseError(f"unexpected trailing {t.text!r}", t.line, t.col)
-
-    def at_end(self) -> bool:
-        return self.peek() is None
+        kind, text, offset = self.toks[self.pos]
+        if kind is not None:
+            raise self.error(f"unexpected trailing {text!r}", offset)
 
 
-def _parse_watom_power(p: _Parser) -> int:
-    p.expect("w", "'w'")
-    if p.peek() is not None and p.peek().kind == "^":
-        p.next()
-        return int(p.expect("INT", "an exponent").text)
-    return 1
+def _sum(p: _Parser, term):
+    """``['-'] term (('+'|'-') term)*``.
+
+    Each term is a (coefficient, exponent) pair; it is yielded with its
+    sign applied to the coefficient.
+    """
+    negate = p.take("-")
+    while True:
+        c, k = term()
+        yield (-c if negate else c), k
+        if p.peek() not in ("+", "-"):
+            return
+        negate = p.next() == "-"
 
 
-def _w_power(ctx: RingContext, k: int, ring: bool):
-    one = ctx.ring_one() if ring else ctx.field_one()
-    if k == 0:
-        return one
+def _power(p: _Parser, atom: str) -> int:
+    """``atom ['^' INT]`` as its exponent, at most 4096 for x."""
+    p.expect(atom, f"'{atom}'")
+    if not p.take("^"):
+        return 1
+    text, offset = p.expect("INT", "an exponent")
+    k = int(text)
+    if atom == "x" and k > _MAX_X_EXPONENT:
+        raise p.error(f"exponent {k} too large", offset)
+    return k
+
+
+def _monomial(p: _Parser, atom: str) -> Tuple[int, int]:
+    """``INT ['*' power(atom)] | power(atom)`` as (integer, exponent)."""
+    kind = p.peek()
+    if kind == "INT":
+        c = int(p.next())
+        return c, (_power(p, atom) if p.take("*") else 0)
+    if kind == atom:
+        return 1, _power(p, atom)
+    p.fail("a term" if atom == "w" else "an integer term")
+
+
+def _w_term(ctx: RingContext, ring: bool, c: int, k: int):
+    """``c*w^k`` by square and multiply; the int c itself when k is 0."""
+    if not k:
+        return c
     if ctx.m == 1:
         # Degree one: w is the root of h itself, -h0.
-        gen = ctx.ring((-ctx.h[0],)) if ring else ctx.field((ctx.h[0],))
+        base = ctx.ring((-ctx.h[0],)) if ring else ctx.field((ctx.h[0],))
     else:
-        gen = ctx.ring((0, 1)) if ring else ctx.field((0, 1))
-    return _pow(gen, k, one)
+        base = ctx.ring((0, 1)) if ring else ctx.field((0, 1))
+    while k:
+        if k & 1:
+            c = c * base
+        k >>= 1
+        if k:
+            base = base * base
+    return c
 
 
-def _pow(base, exp: int, one):
-    """``base ** exp`` by square and multiply."""
-    result = one
-    while exp:
-        if exp & 1:
-            result = result * base
-        base = base * base
-        exp >>= 1
-    return result
-
-
-def _parse_eterm(p: _Parser, ctx: RingContext, ring: bool):
-    t = p.peek()
-    if t is None:
-        p.fail("a term")
-    if t.kind == "INT":
-        p.next()
-        coeff = int(t.text)
-        power = 0
-        if p.peek() is not None and p.peek().kind == "*":
-            p.next()
-            power = _parse_watom_power(p)
-        return coeff * _w_power(ctx, power, ring)
-    if t.kind == "w":
-        return _w_power(ctx, _parse_watom_power(p), ring)
-    p.fail("a term")
-
-
-def _parse_element_body(p: _Parser, ctx: RingContext, ring: bool):
+def _element(p: _Parser, ctx: RingContext, ring: bool):
     acc = ctx.ring_zero() if ring else ctx.field_zero()
-    sign = 1
-    if p.peek() is not None and p.peek().kind == "-":
-        p.next()
-        sign = -1
-    acc = acc + sign * _parse_eterm(p, ctx, ring)
-    while p.peek() is not None and p.peek().kind in "+-":
-        sign = 1 if p.next().kind == "+" else -1
-        acc = acc + sign * _parse_eterm(p, ctx, ring)
+    for c, k in _sum(p, lambda: _monomial(p, "w")):
+        acc = acc + _w_term(ctx, ring, c, k)
     return acc
+
+
+def _pterm(p: _Parser, ctx: RingContext, ring: bool):
+    """One polynomial term as (coefficient, power of x)."""
+    if p.peek() == "x" or (p.peek() == "INT" and p.peek(1) == "*"
+                           and p.peek(2) != "w"):
+        return _monomial(p, "x")
+    if p.take("("):
+        coeff = _element(p, ctx, ring)
+        p.expect(")", "')'")
+    else:
+        coeff = _w_term(ctx, ring, *_monomial(p, "w"))
+    return coeff, (_power(p, "x") if p.take("*") else 0)
+
+
+def _by_power(p: _Parser, term, zero) -> list:
+    """Ascending coefficients of a sum of (coefficient, power) terms."""
+    acc = {}
+    for c, k in _sum(p, term):
+        acc[k] = acc.get(k, zero) + c
+    p.done()
+    return [acc.get(k, zero) for k in range(max(acc) + 1)]
 
 
 def parse_element(text: str, ctx: RingContext, ring: bool = True,
                   line: int = 0, col: int = 0):
     """An element from its text form; `ring` picks Z4[w] over Z2[w]."""
     p = _Parser(text, line, col)
-    v = _parse_element_body(p, ctx, ring)
+    v = _element(p, ctx, ring)
     p.done()
     return v
-
-
-def _parse_xatom(p: _Parser) -> int:
-    p.expect("x", "'x'")
-    if p.peek() is not None and p.peek().kind == "^":
-        p.next()
-        t = p.expect("INT", "an exponent")
-        k = int(t.text)
-        if k > _MAX_X_EXPONENT:
-            raise ParseError(f"exponent {k} too large", t.line, t.col)
-        return k
-    return 1
-
-
-def _parse_pterm(p: _Parser, ctx: RingContext, ring: bool):
-    """One polynomial term as (coefficient element, power of x)."""
-    t = p.peek()
-    if t is None:
-        p.fail("a term")
-    if t.kind == "(":
-        p.next()
-        coeff = _parse_element_body(p, ctx, ring)
-        p.expect(")", "')'")
-        if p.peek() is not None and p.peek().kind == "*":
-            p.next()
-            return coeff, _parse_xatom(p)
-        return coeff, 0
-    if t.kind == "x":
-        one = ctx.ring_one() if ring else ctx.field_one()
-        return one, _parse_xatom(p)
-    if t.kind == "INT":
-        p.next()
-        coeff = int(t.text) * _w_power(ctx, 0, ring)
-        if p.peek() is not None and p.peek().kind == "*":
-            p.next()
-            nxt = p.peek()
-            if nxt is not None and nxt.kind == "w":
-                return int(t.text) * _w_power(
-                    ctx, _parse_watom_power(p), ring), 0
-            return coeff, _parse_xatom(p)
-        return coeff, 0
-    if t.kind == "w":
-        coeff = _w_power(ctx, _parse_watom_power(p), ring)
-        if p.peek() is not None and p.peek().kind == "*":
-            p.next()
-            return coeff, _parse_xatom(p)
-        return coeff, 0
-    p.fail("a term")
 
 
 def parse_poly(text: str, autom: AutomorphismSpec, ring: bool = True,
@@ -252,52 +221,14 @@ def parse_poly(text: str, autom: AutomorphismSpec, ring: bool = True,
     ctx = autom.ctx
     p = _Parser(text, line, col)
     zero = ctx.ring_zero() if ring else ctx.field_zero()
-    acc = {}
-    sign = 1
-    if p.peek() is not None and p.peek().kind == "-":
-        p.next()
-        sign = -1
-    coeff, power = _parse_pterm(p, ctx, ring)
-    acc[power] = acc.get(power, zero) + sign * coeff
-    while p.peek() is not None and p.peek().kind in "+-":
-        sign = 1 if p.next().kind == "+" else -1
-        coeff, power = _parse_pterm(p, ctx, ring)
-        acc[power] = acc.get(power, zero) + sign * coeff
-    p.done()
-    top = max(acc)
-    coeffs = [acc.get(k, zero) for k in range(top + 1)]
-    return SkewPoly(autom, coeffs, ring)
+    return SkewPoly(autom, _by_power(p, lambda: _pterm(p, ctx, ring), zero),
+                    ring)
 
 
 def parse_int_poly(text: str, line: int = 0, col: int = 0) -> Tuple[int, ...]:
     """Ascending integer coefficients of a plain polynomial in x."""
     p = _Parser(text, line, col)
-    acc = {}
-    sign = 1
-    first = True
-    while first or (p.peek() is not None and p.peek().kind in "+-"):
-        if not first:
-            sign = 1 if p.next().kind == "+" else -1
-        first = False
-        t = p.peek()
-        if t is None:
-            p.fail("a term")
-        if t.kind == "INT":
-            p.next()
-            c = int(t.text)
-            k = 0
-            if p.peek() is not None and p.peek().kind == "*":
-                p.next()
-                k = _parse_xatom(p)
-        elif t.kind == "x":
-            c = 1
-            k = _parse_xatom(p)
-        else:
-            p.fail("an integer term")
-        acc[k] = acc.get(k, 0) + sign * c
-    p.done()
-    top = max(acc)
-    return tuple(acc.get(k, 0) for k in range(top + 1))
+    return tuple(_by_power(p, lambda: _monomial(p, "x"), 0))
 
 
 def int_poly_str(coeffs) -> str:
@@ -315,27 +246,7 @@ def int_poly_str(coeffs) -> str:
 
 
 _KEY_RE = re.compile(r"^\s*([a-z0-9]+)\s*:\s*(.*?)\s*$")
-
-
-def _header_value_pos(raw: str) -> int:
-    colon = raw.index(":")
-    rest = raw[colon + 1:]
-    return colon + 1 + (len(rest) - len(rest.lstrip()))
-
-
-def _split_headers(text: str):
-    """(key, value, line, value column, raw line) per nonblank line."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines()):
-        if not raw.strip():
-            continue
-        m = _KEY_RE.match(raw)
-        if m is None:
-            out.append((None, raw, lineno, 0, raw))
-            continue
-        out.append((m.group(1), m.group(2), lineno,
-                    _header_value_pos(raw), raw))
-    return out
+_CTX_KEYS = ("m", "h", "r", "s")
 
 
 def _require_int(key, value, lineno, col) -> int:
@@ -344,44 +255,49 @@ def _require_int(key, value, lineno, col) -> int:
     return int(value)
 
 
-def _build_ctx(fields) -> RingContext:
-    for key in ("m", "h"):
+def _read_header(text: str, keys, marker=None):
+    """The context, r, s, header fields and body lines of a file.
+
+    Fields map each key to (value, line, value column).  With a
+    `marker`, the header ends at the `marker:` line and the body is the
+    nonblank lines after it, as (raw line, line number).
+    """
+    fields, body = {}, None
+    for lineno, raw in enumerate(text.splitlines()):
+        if not raw.strip():
+            continue
+        if body is not None:
+            body.append((raw, lineno))
+            continue
+        mt = _KEY_RE.match(raw)
+        if mt is None:
+            raise ParseError("expected a 'key: value' line", lineno, 0)
+        key, value = mt.groups()
+        if key == marker:
+            if value:
+                raise ParseError(f"unexpected text after '{marker}:'",
+                                 lineno, mt.start(2))
+            body = []
+        elif key not in keys:
+            raise ParseError(f"unknown header {key!r}", lineno, 0)
+        elif key in fields:
+            raise ParseError(f"duplicate header {key!r}", lineno, 0)
+        else:
+            fields[key] = (value, lineno, mt.start(2))
+    if marker is not None and body is None:
+        raise ParseError(f"missing '{marker}:' marker", 0, 0)
+    for key in ("r", "s", "m", "h"):
         if key not in fields:
             raise ParseError(f"missing header {key!r}", 0, 0)
-    m_val, m_line, m_col = fields["m"]
-    h_val, h_line, h_col = fields["h"]
-    m = _require_int("m", m_val, m_line, m_col)
-    return RingContext(m, parse_int_poly(h_val, h_line, h_col))
+    ctx = RingContext(_require_int("m", *fields["m"]),
+                      parse_int_poly(*fields["h"]))
+    return (ctx, _require_int("r", *fields["r"]),
+            _require_int("s", *fields["s"]), fields, body)
 
 
 def parse_matrix(text: str) -> Tuple[RingContext, MixedMatrix]:
     """A matrix file: context headers, `rows:`, then the rows."""
-    fields = {}
-    row_lines = []
-    in_rows = False
-    for key, value, lineno, col, raw in _split_headers(text):
-        if in_rows:
-            row_lines.append((raw, lineno))
-            continue
-        if key == "rows":
-            if value:
-                raise ParseError("unexpected text after 'rows:'", lineno, col)
-            in_rows = True
-            continue
-        if key not in ("m", "h", "r", "s"):
-            raise ParseError(f"unknown header {key!r}", lineno, 0)
-        if key in fields:
-            raise ParseError(f"duplicate header {key!r}", lineno, 0)
-        fields[key] = (value, lineno, col)
-    if not in_rows:
-        raise ParseError("missing 'rows:' marker", 0, 0)
-    for key in ("r", "s"):
-        if key not in fields:
-            raise ParseError(f"missing header {key!r}", 0, 0)
-    ctx = _build_ctx(fields)
-    r = _require_int("r", *fields["r"])
-    s = _require_int("s", *fields["s"])
-
+    ctx, r, s, _, row_lines = _read_header(text, _CTX_KEYS, "rows")
     rows = []
     for raw, lineno in row_lines:
         bar = raw.find("|")
@@ -423,21 +339,7 @@ _FIELD_PARTS = {"f", "l", "l1"}
 def parse_gens(text: str) -> Tuple[RingContext, AutomorphismSpec,
                                    SkewGenerators]:
     """A generator file: context headers plus generator polynomials."""
-    fields = {}
-    for key, value, lineno, col, _raw in _split_headers(text):
-        if key is None:
-            raise ParseError("expected a 'key: value' line", lineno, 0)
-        if key not in ("m", "h", "r", "s", "t") + _GEN_KEYS:
-            raise ParseError(f"unknown header {key!r}", lineno, 0)
-        if key in fields:
-            raise ParseError(f"duplicate header {key!r}", lineno, 0)
-        fields[key] = (value, lineno, col)
-    for key in ("r", "s"):
-        if key not in fields:
-            raise ParseError(f"missing header {key!r}", 0, 0)
-    ctx = _build_ctx(fields)
-    r = _require_int("r", *fields["r"])
-    s = _require_int("s", *fields["s"])
+    ctx, r, s, fields, _ = _read_header(text, _CTX_KEYS + ("t",) + _GEN_KEYS)
     t = 1
     if "t" in fields:
         t = _require_int("t", *fields["t"])

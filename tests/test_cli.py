@@ -140,6 +140,20 @@ def test_validate_gens_failure_is_exit_one(tmp_path):
     assert "FAIL" in res.stdout
 
 
+@pytest.mark.parametrize("divisor, detail", [
+    ("f: 0", "[FAIL] f |r x^r-1 (mod 2)  "
+             "(right division by the zero polynomial)"),
+    ("g: 2*x+1", "[FAIL] g+2a |r x^s-1, or g |r x^s-1 with a residual "
+                 "(l1, 2q) row  (leading coefficient 2 is not a unit)"),
+], ids=["zero-f", "non-unit-g"])
+def test_validate_gens_names_a_refused_division(tmp_path, divisor, detail):
+    path = tmp_path / "refused.gens"
+    path.write_text(f"m: 2\nh: 1+x+x^2\nr: 3\ns: 4\n{divisor}\n")
+    res = run_cli("validate-gens", str(path))
+    assert res.returncode == 1
+    assert f"  {detail}" in res.stdout.splitlines()
+
+
 def test_cofactors(tmp_path):
     path = tmp_path / "code.gens"
     path.write_text(GENS_FILE)

@@ -6,11 +6,14 @@ element prints, in its ``coeffs``, in the order of ``all_ring_elems`` or
 in the text of ``verify-paper`` breaks them.  The generator-tuple and
 standard-form digests pin the validation reports, the derived cofactors
 or ``NotRightDivisible`` messages, the spanning sets, the standard forms
-and the parity checks of seeded random inputs.
+and the parity checks of seeded random inputs.  The grammar digest pins
+what the three expression parsers return or where they fail on seeded
+strings over the token alphabet.
 """
 
 import hashlib
 import random
+import re
 import subprocess
 import sys
 import timeit
@@ -19,10 +22,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from artifact import (AutomorphismSpec, MixedMatrix, MixedWord,
-                      NotRightDivisible, RingContext, SkewGenerators,
-                      SkewPoly, derive_cofactors, parity_check,
-                      skew_code_cardinality, spanning_set, standard_form,
-                      validate_generators)
+                      NotRightDivisible, ParseError, RingContext,
+                      SkewGenerators, SkewPoly, derive_cofactors,
+                      parity_check, parse_element, parse_int_poly,
+                      parse_poly, skew_code_cardinality, spanning_set,
+                      standard_form, validate_generators)
 from artifact.galois import _vec_str
 
 # Default moduli of the command line, with the sha256 of the newline-
@@ -95,7 +99,11 @@ def test_str_no_slower_than_formatting_coefficients(ctx2):
 # Generator tuples and matrices, drawn from seeded generators.  The
 # digests below were recorded before validate_generators and
 # derive_cofactors were merged into one case analysis and before the
-# pivot scans of standard_form were merged into one helper.
+# pivot scans of standard_form were merged into one helper.  GENS_SHA
+# was re-recorded when a refused division began to name its cause, a
+# zero divisor or a non-unit leading coefficient, in place of the
+# remainder detail; with those details mapped back to the remainder
+# text the corpus gives the earlier digest, 715181d5...d33129a.
 
 _MODULI = {1: (1, 1), 2: (1, 1, 1), 3: (3, 1, 2, 1)}
 _DIVISIONS = frozenset({
@@ -218,7 +226,7 @@ def _std_text(mat):
 
 
 GENS_SHA = \
-    "715181d5435c0a346121660cc96c054b07e5ff51b3bf9d79f803f6101d33129a"
+    "121c9e998ec7b6da4515face54191a9fc8fa01b6041bff9d16629b946c129491"
 STD_FORM_SHA = \
     "d63882224dd808ce88744c8346efd5d436177095c2d14f45da32842b4f0df637"
 
@@ -249,3 +257,107 @@ def test_derive_raises_exactly_on_a_failed_division(m, t, rng):
         assert failed and not report.valid
     else:
         assert not failed
+
+
+# Expression grammars.  Strings are token soups or sums drawn from the
+# three grammars, half of those with one token deleted, inserted or
+# replaced; each is parsed as a ring and a field element, a ring and a
+# field polynomial at m = 1..3 and once as an integer polynomial.  The
+# digest was recorded before the parsers were merged into one
+# tokenizer and one signed-sum rule.  It leaves out the two inputs whose
+# reading changed on purpose, which have their own tests in
+# test_textio.py: integer polynomials with a leading '-', and
+# polynomial terms INT*w*x.
+
+_INTS = ("0", "1", "2", "3", "7", "12", "4097")
+_PUNCT = ("w", "x", "^", "*", "+", "-", "(", ")")
+
+
+def _grammar_string(rng):
+    def exp(atom):
+        k = rng.choice(_INTS[:-1] if rng.random() < 0.95 else _INTS)
+        return [atom] if rng.random() < 0.5 else [atom, "^", k]
+
+    def monomial(atom):
+        pick = rng.random()
+        if pick < 0.3:
+            return [rng.choice(_INTS[:6])]
+        if pick < 0.6:
+            return [rng.choice(_INTS[:6]), "*"] + exp(atom)
+        return exp(atom)
+
+    def pterm():
+        pick = rng.random()
+        if pick < 0.3:
+            coef = ["("] + signed_sum(lambda: monomial("w")) + [")"]
+        elif pick < 0.6:
+            coef = monomial("w")
+        else:
+            return monomial("x")
+        return coef + ["*"] + exp("x") if rng.random() < 0.6 else coef
+
+    def signed_sum(term):
+        toks = ["-"] if rng.random() < 0.2 else []
+        toks += term()
+        for _ in range(rng.randint(0, 3)):
+            toks += [rng.choice("+-")] + term()
+        return toks
+
+    alphabet = _INTS + _PUNCT + (" ", "\n", "?")
+    if rng.random() < 0.3:
+        toks = [rng.choice(alphabet) for _ in range(rng.randint(0, 8))]
+    else:
+        term = rng.choice((lambda: monomial("w"), lambda: monomial("x"),
+                           pterm))
+        toks = signed_sum(term)
+        if rng.random() < 0.5:
+            i = rng.randint(0, len(toks))
+            edit = rng.choice(("delete", "insert", "replace"))
+            if edit == "insert":
+                toks.insert(i, rng.choice(alphabet))
+            elif toks and i < len(toks):
+                if edit == "delete":
+                    del toks[i]
+                else:
+                    toks[i] = rng.choice(alphabet)
+    seps = ("",) * 6 + (" ", "  ", "\n")
+    return "".join(t + rng.choice(seps) for t in toks)
+
+
+def _outcome(parse):
+    try:
+        return str(parse())
+    except ParseError as exc:
+        return f"error at {exc.line}:{exc.column}"
+
+
+def _grammar_outcomes(count=2500, seed=11):
+    rng = random.Random(seed)
+    auts = [AutomorphismSpec(RingContext(m, h), 1)
+            for m, h in sorted(_MODULI.items())]
+    out = []
+    for _ in range(count):
+        text = _grammar_string(rng)
+        line, col = (0, 0) if rng.random() < 0.5 else (3, 5)
+        squeezed = re.sub(r"\s", "", text)
+        if not squeezed.startswith("-"):
+            out.append(_outcome(lambda: parse_int_poly(text, line, col)))
+        for aut in auts:
+            for ring in (True, False):
+                out.append(_outcome(lambda: parse_element(
+                    text, aut.ctx, ring, line, col)))
+                if not re.search(r"\d\*w(\^\d+)?\*", squeezed):
+                    out.append(_outcome(lambda: parse_poly(
+                        text, aut, ring, line, col)))
+    return out
+
+
+GRAMMAR_SHA = \
+    "75c7c5f341c6ea1181a2c7a614e06c1e9c0917d94e96cbb50ec42a39f0d23a74"
+
+
+def test_expression_grammars_parse_as_before():
+    outcomes = _grammar_outcomes()
+    errors = sum(o.startswith("error at") for o in outcomes)
+    assert errors >= 5000 and len(outcomes) - errors >= 5000
+    assert _sha("\n".join(outcomes)) == GRAMMAR_SHA

@@ -69,6 +69,7 @@ class TestElements:
         ("1+", 2),
         ("*w", 0),
         ("w^x", 2),
+        ("w^\u00b2", 2),
     ])
     def test_error_positions(self, text, column):
         with pytest.raises(ParseError) as info:
@@ -107,6 +108,11 @@ class TestPolynomials:
         with pytest.raises(ParseError):
             parse_poly("x^5000", _AUT)
 
+    def test_integer_times_w_is_a_coefficient_of_x(self):
+        assert str(parse_poly("2*w*x", _AUT)) == "(2*w)*x"
+        assert str(parse_poly("1+2*w^2*x^3", _AUT)) == "1+(2+2*w)*x^3"
+        assert parse_poly("2*x", _AUT) == SkewPoly.from_ints(_AUT, [0, 2])
+
     def test_error_inside_coefficient(self):
         with pytest.raises(ParseError) as info:
             parse_poly("(1+w*x", _AUT)
@@ -133,6 +139,10 @@ class TestIntPolynomials:
 
     def test_negative_coefficient(self):
         assert parse_int_poly("x^2-1") == (-1, 0, 1)
+
+    def test_leading_minus(self):
+        assert parse_int_poly("-1+x+x^2") == (-1, 1, 1)
+        assert parse_int_poly("-x") == (0, -1)
 
     def test_rejects_w(self):
         with pytest.raises(ParseError):
@@ -174,6 +184,13 @@ class TestMatrixFiles:
     def test_unknown_header(self):
         with pytest.raises(ParseError):
             parse_matrix("m: 2\nh: 1+x+x^2\nr: 1\ns: 1\nz: 9\nrows:\n")
+
+    def test_line_without_a_key_before_rows(self):
+        with pytest.raises(ParseError) as info:
+            parse_matrix("m: 2\nh: 1+x+x^2\nr: 1\ns: 1\nbogus line\n"
+                         "rows:\n1 | 1\n")
+        assert info.value.message == "expected a 'key: value' line"
+        assert (info.value.line, info.value.column) == (4, 0)
 
     def test_wrong_entry_count(self):
         text = "m: 2\nh: 1+x+x^2\nr: 2\ns: 1\nrows:\n1 | 2\n"
