@@ -28,15 +28,20 @@ buffer exists.  For skew closure the shift of each processed row joins
 the worklist when it is not already in the span.  The rows that grew
 the span are kept as the code's generators.
 
-The dual is filtered against those generators alone; a set built
+The dual pairs ambient words with those generators alone; a set built
 otherwise (a word list, or a dual) first gets a generating set from its
 own words by the same coset steps.  The pairing
 ``<u, v> = 2 lift(sum alpha alpha') + sum beta beta'`` is
 GR(4,m)-bilinear: ``2 lift`` depends only on the residue, so
 ``<lambda u, v> = lambda <u, v>`` for every ring scalar ``lambda``, and
 a word orthogonal to every generator is orthogonal to every codeword.
-The filter still scans the whole ambient space with element arithmetic
-and never consults ``parity_check``, so it stays a witness for it.
+It is also additive in the ambient word, and a packed word is the sum
+of its low and high bits, so the ambient space is split at its middle
+bit: the words of each half are paired in one mapping step, and a low
+and a high half join into a dual word exactly when their pairing
+vectors are negatives of each other.  The join covers every ambient
+word, uses element tables alone and never consults ``parity_check``,
+so it stays a witness for it.
 
 Everything here is independent of the structural machinery in
 ``mixedcode``/``skewcyclic``: it only uses element arithmetic, which
@@ -363,15 +368,20 @@ def _lanes(v, m: int, width: int, lane: int):
 def brute_force_dual(code, budget: int = DEFAULT_BUDGET) -> EnumeratedCode:
     """All ambient words orthogonal to every codeword.
 
-    Filters the full ambient space against the code's ``gens``, one
-    pass per generator; a set without them gets a generating set from
-    its own words first.  The pairing is GR(4,m)-bilinear (``2 lift``
-    depends only on the residue, so ``<lambda u, v> = lambda <u, v>``),
-    hence orthogonality to the generators is orthogonality to the
-    module they span.  Only element arithmetic is used, never the
-    parity-check construction, so the result stays an independent
-    witness for it.  The ambient size ``2^(m(r+2s))`` must fit the
-    budget.
+    The pairing is GR(4,m)-bilinear (``2 lift`` depends only on the
+    residue, so ``<lambda u, v> = lambda <u, v>``), so a word is
+    orthogonal to the code exactly when it is orthogonal to the code's
+    ``gens``; a set without them gets a generating set from its own
+    words first.  The pairing is also additive in the ambient word.
+    Split at the middle bit, every ambient word is ``low + high`` for
+    exactly one low half and one high half, and it lies in the dual
+    exactly when ``P(low) = -P(high)``, ``P`` being its vector of
+    pairings with the generators.  Both halves are paired in one mapping
+    step and joined on equal keys, so the search stays exhaustive over
+    the ambient space while touching ``2^(bits/2)`` words per half.
+    Only element tables are used, never the parity-check construction,
+    so the result stays an independent witness for it.  The ambient
+    size ``2^(m(r+2s))`` must fit the budget.
     """
     code = _ensure_enumerated(code)
     codec = code.codec
@@ -383,28 +393,60 @@ def brute_force_dual(code, budget: int = DEFAULT_BUDGET) -> EnumeratedCode:
     if not codec.vector:
         raise BudgetExceeded("ambient space too wide to enumerate")
 
-    # Each product coefficient gets a lane of 64 // m bits, wide enough
-    # that summing one term per coordinate cannot carry into the next
-    # lane; the inner product vanishes when every lane is 0 mod 4.
-    lane = 64 // m
-    ring_terms = _lanes(codec.tables["ring_scaled"].T, m, 2, lane)
-    # 2 * lift(f): the doubled field product, lane bit 1 per coefficient.
-    field_terms = _lanes(codec.tables["field_scaled"].T, m, 1, lane) << 1
-    mod4 = np.uint64(_lanes((1 << (2 * m)) - 1, m, 2, lane))
-
     gens = code.gens
     if gens is None:
         gens = _span_generators(codec, codec.array(code.packed), budget)
-    survivors = np.arange(ambient, dtype=np.uint64)
-    for u in gens:
-        cols = [int((u >> src) & mask)
-                for src, mask in zip(codec.offsets, codec.masks)]
-        # A field entry acts as its lift, the ring scalar with its bits.
-        tables = [ring_terms[c] for c in cols[:s]] + \
-            [field_terms[_lanes(c, m, 1, 2)] for c in cols[s:]]
-        tot = codec.map(survivors, tables, codec.zeros)
-        survivors = survivors[(tot & mod4) == 0]
-    return EnumeratedCode(codec, survivors, None)
+    if not len(gens):
+        # The zero word generates the zero code; a key needs a column.
+        gens = codec.array([0])
+    # Each product coefficient gets a lane of 64 // m bits, wide enough
+    # that summing one term per coordinate cannot carry into the next
+    # lane; a pairing vanishes when every lane is 0 mod 4.
+    lane = 64 // m
+    ones = sum(1 << (lane * k) for k in range(m))
+    mod4 = np.uint64(3 * ones)
+    # [v, k]: ambient entry v times the k-th generator's entry.  A field
+    # entry acts as its lift, the ring scalar with its bits, and pairs
+    # as 2 * lift(product): lane bit 1 per coefficient.
+    ring_terms = _lanes(codec.tables["ring_scaled"], m, 2, lane)
+    field_terms = _lanes(codec.tables["field_scaled"], m, 1, lane) << 1
+    cols = [(gens >> src) & mask
+            for src, mask in zip(codec.offsets, codec.masks)]
+    tables = [ring_terms[:, c] for c in cols[:s]] + \
+        [field_terms[:, _lanes(c, m, 1, 2)] for c in cols[s:]]
+
+    # Any bit splits a word additively: a quaternary coefficient c cut
+    # between its two bits is (c & 1) + (c & 2) in Z4.
+    split = codec.bits // 2
+    n_low = 1 << split
+    high = np.arange(1 << (codec.bits - split), dtype=np.uint64)
+    words = np.concatenate([np.arange(n_low, dtype=np.uint64),
+                            high << np.uint64(split)])
+    # Words of no coordinates (r = s = 0) map without a generator axis.
+    keys = codec.map(words, tables, codec.zeros).reshape(len(words), -1)
+    keys &= mod4
+    # -a mod 4 per lane keeps the low bit and xors it into the high one.
+    keys[n_low:] ^= (keys[n_low:] & np.uint64(ones)) << np.uint64(1)
+
+    # Equal keys get equal labels; lexsort is stable, so the low words
+    # of one label stay in increasing order.
+    order = np.lexsort(keys.T)
+    ordered = keys[order]
+    labels = np.zeros(len(order), dtype=np.intp)
+    np.cumsum((ordered[1:] != ordered[:-1]).any(axis=1), out=labels[1:])
+    is_low = order < n_low
+    low, low_labels = order[is_low], labels[is_low]
+    high_labels = np.empty(len(high), dtype=np.intp)
+    high_labels[order[~is_low] - n_low] = labels[~is_low]
+    # Each high word takes the run of low words with its label; the high
+    # half is the major key, so the words come out sorted.
+    start = np.searchsorted(low_labels, high_labels, "left")
+    count = np.searchsorted(low_labels, high_labels, "right") - start
+    first = np.cumsum(count) - count
+    pick = np.arange(count.sum()) + np.repeat(start - first, count)
+    dual = (np.repeat(high, count) << np.uint64(split)) | \
+        low[pick].astype(np.uint64)
+    return EnumeratedCode(codec, dual, None)
 
 
 def _ensure_enumerated(code, ctx=None, r=None, s=None) -> EnumeratedCode:

@@ -15,9 +15,11 @@ atom letter and ``T`` a term rule::
 
 A polynomial term that starts `INT '*'` is `mono('x')` unless `w`
 follows the `*`: `2*x` is 2 times x, `2*w*x` is (2*w) times x.  The
-exponent of `x` is at most 4096.  `w` denotes the multiplicative
-generator of the coefficient ring or field; integer coefficients reduce
-mod 4 or mod 2 by context, so subtraction is accepted and normalised.
+exponent of `x` is at most 4096, and no integer may have more digits
+than the interpreter's int-string limit (4300 by default).  `w` denotes
+the multiplicative generator of the coefficient ring or field; integer
+coefficients reduce mod 4 or mod 2 by context, so subtraction is
+accepted and normalised.
 Emission is canonical: ascending powers, zero terms dropped, unit
 coefficients omitted, composite coefficients parenthesised.  Parsing an
 emitted string gives back an equal value and re-emitting it is a
@@ -35,6 +37,7 @@ line and column.
 from __future__ import annotations
 
 import re
+import sys
 from typing import Tuple
 
 from .errors import ParseError
@@ -55,6 +58,20 @@ __all__ = [
 ]
 
 _MAX_X_EXPONENT = 4096
+
+
+def _length_error(digits: str):
+    """Why `int` would refuse a literal this long, or None.
+
+    The interpreter caps integer literals (4300 digits by default; 0
+    lifts the cap) and raises a bare ValueError past it.
+    """
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit < len(digits):
+        return (f"integer of {len(digits)} digits exceeds the limit of "
+                f"{limit} digits")
+    return None
+
 
 # An integer, a one-character symbol, or any other nonblank character,
 # which is refused.
@@ -110,6 +127,14 @@ class _Parser:
         self.pos += 1
         return text, offset
 
+    def integer(self, expected: str):
+        """The next token, which must be an integer, as (value, offset)."""
+        text, offset = self.expect("INT", expected)
+        message = _length_error(text)
+        if message:
+            raise self.error(message, offset)
+        return int(text), offset
+
     def fail(self, expected: str):
         kind, text, offset = self.toks[self.pos]
         found = "end of input" if kind is None else repr(text)
@@ -141,8 +166,7 @@ def _power(p: _Parser, atom: str) -> int:
     p.expect(atom, f"'{atom}'")
     if not p.take("^"):
         return 1
-    text, offset = p.expect("INT", "an exponent")
-    k = int(text)
+    k, offset = p.integer("an exponent")
     if atom == "x" and k > _MAX_X_EXPONENT:
         raise p.error(f"exponent {k} too large", offset)
     return k
@@ -152,7 +176,7 @@ def _monomial(p: _Parser, atom: str) -> Tuple[int, int]:
     """``INT ['*' power(atom)] | power(atom)`` as (integer, exponent)."""
     kind = p.peek()
     if kind == "INT":
-        c = int(p.next())
+        c, _ = p.integer("an integer")
         return c, (_power(p, atom) if p.take("*") else 0)
     if kind == atom:
         return 1, _power(p, atom)
@@ -252,6 +276,9 @@ _CTX_KEYS = ("m", "h", "r", "s")
 def _require_int(key, value, lineno, col) -> int:
     if not re.fullmatch(r"\d+", value):
         raise ParseError(f"{key} must be a nonnegative integer", lineno, col)
+    message = _length_error(value)
+    if message:
+        raise ParseError(message, lineno, col)
     return int(value)
 
 

@@ -119,19 +119,21 @@ class TestDualDerivation:
         code = span_closure(list(self.sf.g_std.rows))
         assert brute_force_dual(code) == span_closure([self.derived])
 
-    def test_dual_filters_one_pass_per_generator(self, monkeypatch):
+    def test_dual_pairs_in_one_map_call(self, monkeypatch):
         code = span_closure(list(worked_matrix().rows))
-        passes = []
+        calls = []
         mapping = oracle._Codec.map
 
-        def counted(codec, *args):
-            passes.append(args)
-            return mapping(codec, *args)
+        def counted(codec, arr, tables, dest):
+            calls.append((len(arr), tables[0].shape[1:]))
+            return mapping(codec, arr, tables, dest)
 
         monkeypatch.setattr(oracle._Codec, "map", counted)
         assert len(brute_force_dual(code)) == 16
         assert len(code) == 4096
-        assert len(passes) <= len(code.gens) <= 4
+        # 16 bits split at bit 8: the two halves of 2^8 words each are
+        # paired with every generator at once.
+        assert calls == [(512, (len(code.gens),))]
 
     def test_derived_row_blocks(self):
         assert len(self.h) == 1

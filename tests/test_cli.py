@@ -239,6 +239,16 @@ def test_matrix_parse_error_exit_code(tmp_path):
     assert "line 5" in res.stderr
 
 
+def test_overlong_literal_is_exit_two(tmp_path):
+    path = tmp_path / "long.mat"
+    path.write_text("m: 2\nh: 1+x+x^2\nr: 1\ns: 1\nrows:\n1 | 1"
+                    + "0" * 5000 + "\n")
+    res = run_cli("std-form", str(path))
+    assert res.returncode == 2
+    assert "line 5, column 4" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_missing_file_is_exit_one(tmp_path):
     res = run_cli("std-form", str(tmp_path / "absent.mat"))
     assert res.returncode == 1

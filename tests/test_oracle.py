@@ -159,6 +159,16 @@ _M3_SHAPES = [(0, 1), (0, 2), (1, 1), (2, 1), (1, 2)]
 _DUAL_SHAPES = {_CTX2: [(0, 2), (1, 1), (1, 2), (3, 1)],
                 _CTX3: [(0, 1), (1, 1)]}
 _M1_SHAPES = [(0, 3), (1, 2), (2, 3), (3, 4), (2, 6)]
+# (ctx, r, s) by where brute_force_dual splits the packed bits, at
+# bits // 2.
+_SPLIT_SHAPES = [
+    (_CTX1, 0, 3),  # bit 3, between the two bits of a Z4 coefficient
+    (_CTX2, 2, 1),  # bit 4, the quaternary/binary border
+    (_CTX2, 3, 1),  # bit 5, inside the binary block
+    (_CTX2, 3, 0),  # bit 3, binary only
+    (_CTX3, 1, 1),  # m = 3, bit 4 inside the quaternary block
+    (_CTX3, 2, 1),  # m = 3, bit 6, the border
+]
 
 
 def wide_rows(ctx):
@@ -361,6 +371,17 @@ class TestDualWitnesses:
         ref = naive_dual(code, ctx, code.r, code.s)
         assert [int(v) for v in brute_force_dual(code).packed] == ref
 
+    @pytest.mark.parametrize("ctx,r,s", _SPLIT_SHAPES, ids=[
+        "m1-odd-in-quaternary", "m2-border", "m2-in-binary", "m2-binary-only",
+        "m3-in-quaternary", "m3-border"])
+    @settings(max_examples=4)
+    @given(data=st.data())
+    def test_every_split_placement_matches_naive_dual(self, data, ctx, r, s):
+        code = span_closure(data.draw(random_rows(ctx, [(r, s)], 2)))
+        dual = brute_force_dual(code)
+        assert np.all(dual.packed[1:] > dual.packed[:-1])
+        assert [int(v) for v in dual.packed] == naive_dual(code, ctx, r, s)
+
     def test_bare_rows_not_closed_under_addition(self, ctx2):
         rows = [MixedWord.from_ints(ctx2, [1], [1, 0]),
                 MixedWord.from_ints(ctx2, [0], [2, 1])]
@@ -375,31 +396,41 @@ class TestDualWitnesses:
         assert [int(v) for v in again.packed] == naive_dual(dual, ctx2, 1, 2)
         assert again == code
 
-    def test_dual_of_dual_filters_one_pass_per_generator(self, ctx2,
-                                                         monkeypatch):
-        r, s = 1, 3
+    def test_dual_of_dual_pairs_in_one_map_call(self, ctx2, monkeypatch):
         code = span_closure([MixedWord.from_ints(ctx2, [1], [2, 2, 0])])
         dual = brute_force_dual(code)
         assert (len(code), len(dual), dual.gens) == (4, 4096, None)
-        passes, multiples = [], []
+        gens = oracle._span_generators(dual.codec,
+                                       dual.codec.array(dual.packed),
+                                       oracle.DEFAULT_BUDGET)
+        pairings, multiples = [], []
         mapping = oracle._Codec.map
 
-        def counted(codec, arr, *args):
-            # One row's scalar multiples map a single word; a filtering
-            # pass maps the surviving ambient words.
-            (passes if len(arr) > 1 else multiples).append(len(arr))
-            return mapping(codec, arr, *args)
+        def counted(codec, arr, tables, dest):
+            # One row's scalar multiples map a single word; the pairing
+            # maps both halves of the ambient space in one call.
+            if len(arr) > 1:
+                pairings.append((len(arr), tables[0].shape[1:]))
+            else:
+                multiples.append(int(arr[0]))
+            return mapping(codec, arr, tables, dest)
 
         monkeypatch.setattr(oracle._Codec, "map", counted)
         assert brute_force_dual(dual) == code
-        assert 1 <= len(passes) <= r + 2 * s
-        assert len(multiples) == len(passes)
+        # 14 bits split at bit 7: 2^7 + 2^7 words, not 2^14, with one
+        # key column per generator.
+        assert pairings == [(256, (len(gens),))]
+        assert multiples == [int(g) for g in gens]
 
     def test_zero_code_has_the_ambient_dual(self, ctx2):
         code = span_closure([], ctx=ctx2, r=1, s=2)
         dual = brute_force_dual(code)
         assert len(dual) == 1 << 10
         assert [int(v) for v in dual.packed] == naive_dual(code, ctx2, 1, 2)
+
+    def test_empty_shape_has_the_one_word_dual(self, ctx2):
+        code = span_closure([], ctx=ctx2, r=0, s=0)
+        assert [int(v) for v in brute_force_dual(code).packed] == [0]
 
     @settings(max_examples=15)
     @given(st.data(), st.sampled_from([_CTX1, _CTX2]))

@@ -77,6 +77,21 @@ class TestElements:
         assert info.value.column == column
         assert info.value.line == 0
 
+    @pytest.mark.parametrize("prefix", ["", "1+w^", "w+2*w^"])
+    def test_overlong_literal_is_a_parse_error(self, prefix):
+        # Past the interpreter's int-string limit `int` raises a bare
+        # ValueError; the literal is refused before that, at its place.
+        text = prefix + "1" * 5000
+        with pytest.raises(ParseError) as info:
+            parse_element(text, _CTX, line=3, col=7)
+        assert "5000 digits" in info.value.message
+        assert (info.value.line, info.value.column) == (3, 7 + len(prefix))
+
+    def test_literal_at_the_limit_is_accepted(self):
+        assert parse_element("1" * 4300, _CTX) == _CTX.ring((3,))
+        assert parse_element("w^" + "0" * 4299 + "3", _CTX) == \
+            _CTX.ring_one()
+
 
 class TestPolynomials:
     def test_worked_example_string(self):
@@ -204,6 +219,17 @@ class TestMatrixFiles:
             parse_matrix(text)
         assert info.value.line == 5
         assert info.value.column == 6
+
+    @pytest.mark.parametrize("key", ["m", "r", "s"])
+    def test_overlong_header_integer(self, key):
+        headers = {"m": "2", "h": "1+x+x^2", "r": "1", "s": "1"}
+        headers[key] = "1" * 5000
+        line = list(headers).index(key)
+        text = "".join(f"{k}: {v}\n" for k, v in headers.items()) + "rows:\n"
+        with pytest.raises(ParseError) as info:
+            parse_matrix(text)
+        assert "5000 digits" in info.value.message
+        assert (info.value.line, info.value.column) == (line, 3)
 
     def test_missing_bar(self):
         text = "m: 2\nh: 1+x+x^2\nr: 1\ns: 1\nrows:\n1 w\n"
