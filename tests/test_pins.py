@@ -8,10 +8,13 @@ standard-form digests pin the validation reports, the derived cofactors
 or ``NotRightDivisible`` messages, the spanning sets, the standard forms
 and the parity checks of seeded random inputs.  The grammar digest pins
 what the three expression parsers return or where they fail on seeded
-strings over the token alphabet.
+strings over the token alphabet.  The command-line digests pin the exit
+code, standard output and standard error of ``z24codes`` calls.
 """
 
+import contextlib
 import hashlib
+import io
 import random
 import re
 import subprocess
@@ -27,7 +30,11 @@ from artifact import (AutomorphismSpec, MixedMatrix, MixedWord,
                       parity_check, parse_element, parse_int_poly,
                       parse_poly, skew_code_cardinality, spanning_set,
                       standard_form, validate_generators)
+from artifact.cli import main
 from artifact.galois import _vec_str
+from artifact.reference import (gens_four_four, gens_seven_seven,
+                                worked_matrix)
+from artifact.textio import emit_gens, emit_matrix
 
 # Default moduli of the command line, with the sha256 of the newline-
 # joined str of every ring element, of every field element, and of the
@@ -361,3 +368,122 @@ def test_expression_grammars_parse_as_before():
     errors = sum(o.startswith("error at") for o in outcomes)
     assert errors >= 5000 and len(outcomes) - errors >= 5000
     assert _sha("\n".join(outcomes)) == GRAMMAR_SHA
+
+
+# Command-line calls, run in-process from a directory that holds the
+# input files below, keyed by argv with the sha256 of the repr of
+# (exit code, stdout, stderr).  Recorded before the subcommands were
+# declared in one table.
+
+_CLI_FILES = {
+    "code.mat": emit_matrix(worked_matrix()),
+    "quat.mat": "m: 2\nh: 1+x+x^2\nr: 0\ns: 4\nrows:\n"
+                "| 1 0 1 0\n| 0 1 0 1\n",
+    "open.mat": "m: 2\nh: 1+x+x^2\nr: 0\ns: 4\nrows:\n"
+                "| 1 0 1 0\n| 0 2 0 2\n",
+    "bad.mat": "m: 2\nh: 1+x+x^2\nr: 1\ns: 1\nrows:\n1 | w^\n",
+    "seven.gens": emit_gens(gens_seven_seven()),
+    "four.gens": emit_gens(gens_four_four()),
+    "empty.gens": "m: 2\nh: 1+x+x^2\nr: 2\ns: 2\n",
+    "bad.gens": "m: 2\nh: 1+x+x^2\nr: 7\ns: 7\nf: 1+x+x^2\n",
+}
+
+CLI_SHA = {
+    "ctx-info --m 2":
+        "b7b01d03af1e782da6ef8c44a855c92772b1293be9b57ced1ac256628bdeac78",
+    "ctx-info --m 2 --format json":
+        "b1816bbecf1b2dcc24f3b994972a472299c6ac60d0d56d05cca1b75543ef4d0f",
+    "ctx-info --m 3 --h 3+x+2*x^2+x^3":
+        "e0ed6a9f20b63024e29ad7b41d1fa699d9d749eb7af4b3d3eda3b006c78921d6",
+    "ctx-info --m 2 --h 1+x^2":
+        "7cdf8e0b90e321b83c3d77ff80b567e6cfc03305093f8badaca3edc3d3e87ee9",
+    "ctx-info --m 5":
+        "6ad5bdce5a966f5a2f4754614d3f611253d33d66824e5d7ab0ec88b05b47b140",
+    "skew-mul --m 2 (w)*x (1+w)*x":
+        "7f787639fd5fbec78a1b64eb37cff43003b968c641174a0c97dc0e18e4e5d1c7",
+    "skew-mul --m 2 (w)*x (1+w)*x --format json":
+        "393dc7631e7074007a3d1caaa5b83285cfe056b3ea1adfbd4d19e890982227c0",
+    "skew-mul --m 3 --t 2 --field (w)*x (1+w)*x^2":
+        "e6d8455f0d894045073494648ae1ad7f0a8cf4e109e09d7732c72751dea6d23c",
+    "skew-mul --m 2 w^ 1":
+        "fe82c9d184072e9f717819a7a6cabffca576c8a8066569f2d4afafe20daa61db",
+    "std-form code.mat":
+        "6463967cf3efa7175555a0ecb4e4685b2cfe1572460401f9f4cff1fde7e7eb58",
+    "std-form code.mat --format json":
+        "9d4c37d58e82d36a39bab2829e9f4c069ec155b7670b61302d2658bbb1c35320",
+    "std-form bad.mat":
+        "75199ca300d748182d2f2037d59b67b7a987247a0f369f8baac3adc950932555",
+    "std-form absent.mat":
+        "d28c7d2625c6b855969351dfa306bde95991ca6cdb37c19dcc4310b31193496d",
+    "dual code.mat":
+        "3a5235c9b35f4e9a478b5b66ad1f062ad3c833722681bc5f42523d88d6f31061",
+    "dual code.mat --format json":
+        "e5373b86d4d5774267ed5420238331f790974d77118129ca3023e6e9033345be",
+    "validate-gens seven.gens":
+        "40ec806865f428869b6cc1b42be7963f5d3b6090cb04910a24d91f1e378b94c7",
+    "validate-gens seven.gens --format json":
+        "b7302a0e2f5d21f3706e1b2d83183e7a967d3c45d11348e9cfb678f6fc51ce1f",
+    "validate-gens four.gens":
+        "bd4a83ab894d759b9f980536ef26afc18622666344e289d43a434767b08bba04",
+    "validate-gens bad.gens":
+        "b173402789b2fc70b12a24c0e95304b6dddd88066e1263d585f8852e7d63f073",
+    "validate-gens bad.gens --format json":
+        "0f2d39015bd3f5e53fe679e540969d2ffadd411d733a195a047e7faa1346bdd9",
+    "cofactors seven.gens":
+        "6e7c91387caaed7f5e993cb5ce268c9e4d9dce3560a25db36fadcc60bff77873",
+    "cofactors seven.gens --format json":
+        "cb596788cb657ceb76af1c11fb0ef3e89167c39333877c72549fb33820554376",
+    "cofactors four.gens":
+        "54ae4569d1213a889b65b4bd661972e15abddafa76840e2c638ccfba03ce4b64",
+    "span seven.gens":
+        "3e39b3256a66def1f6df511e5950a51c05b6b0d00b8bc225f02d9b2b05f06657",
+    "span seven.gens --format json":
+        "a132486353fdce89f2e792e7f47c7460efbf97b20dee3e5beb76a2b6ee5d70c7",
+    "span four.gens":
+        "9a5e1664807f53e23e1dca050cc7a855e80bb083d820e48c9e0cb01da8b82518",
+    "span four.gens --format json":
+        "975cf3fbda88c17ecd765623aa6b61a183fd1d16c727e76886b22dfb6cdd4271",
+    "span empty.gens":
+        "122a841cd28ba838d94a87f9e5aa74876e65a3ec0f98bccc206b7affb4829f20",
+    "span bad.gens":
+        "88c312a4cc1c6b995dd732a4daa1ca580b8c9421d0a60e2e65a451c4e5582079",
+    "enumerate quat.mat":
+        "c170eb2179e88dfdbc2275bef05c2f3cfb782bc893d63a0399309eaa4b670d7b",
+    "enumerate quat.mat --format json":
+        "fa63660a0127fc391182a6f77987328235f36a922280eeb3f222d41cbadb3196",
+    "enumerate quat.mat --words":
+        "5545097d784d60c9980430eb341982e74d63001fe14cd270a3a7c37efcdd6589",
+    "enumerate quat.mat --budget 10":
+        "950106fcef253327a9b9ce9584fffddbc020e9a88f0c81f2d34b518fa7734aa0",
+    "is-skew-cyclic quat.mat":
+        "0e0bbb9504ae16a921cf78c1da2cbb529104a9209b86f840dab9a49d54d3d918",
+    "is-skew-cyclic quat.mat --format json":
+        "7f6334a260f0b0333a14f4b08e3d5035384ca96a512f93b9a8ee891f710aefcf",
+    "is-skew-cyclic quat.mat --t 0":
+        "e347771b361418426af543098d245aa65946228d2b5c29198f0fc59fc88b7cb9",
+    "classify-z4 quat.mat":
+        "7b1b444ea9633afc5d48962a2be2f65fb602d2786604227f7ace70a3ef56697c",
+    "classify-z4 quat.mat --format json":
+        "fde386ea2532ec1e03bdd98e74e0e8afe8ebb5f28a1c58cf7a0ee7625edaa80f",
+    "classify-z4 open.mat":
+        "370f64c54355ed9658ec3165cbf21986eedf1998598812dd3bc1aa79a14e242d",
+    "verify-paper":
+        "3befa7fed8c5afa106892b5d117fa64efda72014dded6f6d65536c0552567227",
+    "verify-paper --format json":
+        "480f2fb187ec8754be7efa48ae77b4c62067e37cf4fbcf345e26243631e4e4cd",
+}
+
+
+def _cli_digest(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return hashlib.sha256(
+        repr((code, out.getvalue(), err.getvalue())).encode()).hexdigest()
+
+
+def test_cli_outputs_as_before(tmp_path, monkeypatch):
+    for name, text in _CLI_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert {key: _cli_digest(key.split()) for key in CLI_SHA} == CLI_SHA
