@@ -1,10 +1,16 @@
 """End-to-end runs of the command line interface."""
 
 import json
+import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
+
+from artifact import cli
+from artifact.reference import gens_four_four
+from artifact.textio import emit_gens
 
 MATRIX_FILE = """m: 2
 h: 1+x+x^2
@@ -172,6 +178,17 @@ def test_span(tmp_path):
     assert res.stdout.count("|") == 10
 
 
+def test_span_counts_dependent_rows_once(tmp_path):
+    # Three of the six spanning rows are redundant; the cofactor-degree
+    # formula would give 65536.
+    path = tmp_path / "four.gens"
+    path.write_text(emit_gens(gens_four_four()))
+    res = run_cli("span", str(path))
+    assert "cardinality: 16384" in res.stdout.splitlines()
+    doc = json.loads(run_cli("span", str(path), "--format", "json").stdout)
+    assert doc["cardinality"] == 16384
+
+
 def test_span_of_empty_tuple(tmp_path):
     path = tmp_path / "empty.gens"
     path.write_text("m: 2\nh: 1+x+x^2\nr: 2\ns: 2\n")
@@ -194,6 +211,22 @@ def test_enumerate_budget_exit_code(tmp_path):
     res = run_cli("enumerate", str(path), "--budget", "10")
     assert res.returncode == 3
     assert "budget" in res.stderr
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize("command", ["enumerate", "is-skew-cyclic",
+                                     "classify-z4"])
+def test_nonpositive_budget_is_a_usage_error(tmp_path, capsys, command,
+                                             budget):
+    path = tmp_path / "code.mat"
+    path.write_text(QUATERNARY_FILE)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, str(path), "--budget", budget])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith(f"usage: z24codes {command} ")
+    assert err.endswith(f"error: argument --budget: invalid positive int "
+                        f"value: '{budget}'\n")
 
 
 def test_enumerate_words_json(tmp_path):
@@ -328,3 +361,13 @@ def test_enumerate_loads_numpy(tmp_path):
     mat.write_text(QUATERNARY_FILE)
     assert cold_start(["enumerate", str(mat)]) == {"exit": [0],
                                                    "numpy": True}
+
+
+def test_readme_lists_every_subcommand():
+    readme = (pathlib.Path(__file__).resolve().parent.parent
+              / "README.md").read_text()
+    sentence = re.search(r"Subcommands: (.*?)\.\s", readme, re.S).group(1)
+    parser = cli._build_parser()
+    choices = next(a.choices for a in parser._actions
+                   if a.dest == "command")
+    assert re.findall(r"`([^`]+)`", sentence) == list(choices)

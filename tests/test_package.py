@@ -34,10 +34,11 @@ def test_unknown_attribute_raises():
 
 
 def test_one_default_budget():
-    parsed = cli._build_parser().parse_args(["enumerate", "code.mat"])
+    parser = cli._build_parser()
+    parsed = [parser.parse_args([name, "code.mat"]).budget
+              for name in ("enumerate", "is-skew-cyclic", "classify-z4")]
     assert (artifact.DEFAULT_BUDGET, errors.DEFAULT_BUDGET,
-            oracle.DEFAULT_BUDGET, parsed.budget,
-            cli.JobConfig("enumerate").budget) == (1 << 24,) * 5
+            oracle.DEFAULT_BUDGET, *parsed) == (1 << 24,) * 6
 
 
 def test_oracle_loads_on_first_access():
