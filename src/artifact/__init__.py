@@ -23,12 +23,12 @@ from .errors import (DEFAULT_BUDGET, ArtifactError, BudgetExceeded,
 from .galois import AutomorphismSpec, FieldElem, RingContext, RingElem
 from .mixedcode import (CodeType, MixedMatrix, MixedWord,
                         StandardFormResult, inner_product, parity_check,
-                        standard_form)
+                        standard_form, syndrome)
 from .skewcyclic import (ConditionCheck, ModulePair, SkewGenerators,
                          SpanningSet, ValidationReport, derive_cofactors,
-                         from_pair, module_mul, skew_code_cardinality,
-                         spanning_set, theta_shift, to_pair,
-                         validate_generators)
+                         from_pair, module_mul, skew_closed,
+                         skew_code_cardinality, spanning_set, theta_shift,
+                         to_pair, validate_generators)
 from .skewpoly import SkewPoly, right_divides
 from .textio import (emit_gens, emit_matrix, int_poly_str, parse_element,
                      parse_gens, parse_int_poly, parse_matrix, parse_poly)
@@ -50,9 +50,9 @@ __all__ = [
     "emit_matrix", "from_pair", "inner_product", "int_poly_str",
     "is_skew_cyclic", "min_hamming_distance", "module_mul", "parity_check",
     "parse_element", "parse_gens", "parse_int_poly", "parse_matrix",
-    "parse_poly", "right_divides", "skew_code_cardinality", "span_closure",
-    "spanning_set", "standard_form", "theta_shift", "to_pair",
-    "validate_generators",
+    "parse_poly", "right_divides", "skew_closed", "skew_code_cardinality",
+    "span_closure", "spanning_set", "standard_form", "syndrome",
+    "theta_shift", "to_pair", "validate_generators",
 ]
 
 _ORACLE_EXPORTS = frozenset({

@@ -8,8 +8,9 @@ named errors into exit codes: 0 success, 1 named constraint or
 validation failure, 2 parse error (position on stderr), 3 enumeration
 budget exceeded.  Table and JSON use the same canonical element strings.
 
-Only the commands that enumerate import :mod:`artifact.oracle`, and
-with it numpy, so the purely algebraic commands start without it.
+Only ``enumerate``, ``classify-z4`` and ``verify-paper`` load
+:mod:`artifact.oracle`, and with it numpy, so the algebraic commands,
+``is-skew-cyclic`` among them, start without it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .errors import DEFAULT_BUDGET, ArtifactError, BudgetExceeded, ParseError
 from .galois import AutomorphismSpec, RingContext
 from .mixedcode import parity_check, standard_form
 from .reference import checks
-from .skewcyclic import derive_cofactors, spanning_set, validate_generators
+from .skewcyclic import (derive_cofactors, skew_closed, spanning_set,
+                         validate_generators)
 from .textio import (emit_matrix, int_poly_str, parse_element, parse_gens,
                      parse_int_poly, parse_matrix, parse_poly)
 
@@ -121,14 +123,19 @@ def _cmd_dual(args):
                    parity_check(sf))
 
 
-def _cmd_validate_gens(args):
-    _, _, gens = parse_gens(_read(args.path))
+def _validation(gens):
+    """The validation report of ``gens``: exit 0 when valid, else 1."""
     report = validate_generators(gens)
     doc = {"case": report.case, "valid": report.valid,
            "checks": [{"name": c.name, "passed": c.passed,
                        "detail": c.detail} for c in report.checks],
            "notes": list(report.notes)}
     return (0 if report.valid else 1), str(report).splitlines(), doc
+
+
+def _cmd_validate_gens(args):
+    _, _, gens = parse_gens(_read(args.path))
+    return _validation(gens)
 
 
 def _cmd_cofactors(args):
@@ -146,9 +153,9 @@ def _cmd_cofactors(args):
 
 def _cmd_span(args):
     _, _, gens = parse_gens(_read(args.path))
-    report = validate_generators(gens)
-    if not report.valid:
-        return 1, [str(report)], None
+    status, lines, doc = _validation(gens)
+    if status:
+        return status, lines, doc
     _, mat = spanning_set(derive_cofactors(gens))
     # Exact, where skew_code_cardinality overcounts dependent rows.
     card = standard_form(mat).code_type.cardinality(mat.ctx.m)
@@ -165,9 +172,8 @@ def _cmd_enumerate(args):
 
 
 def _cmd_is_skew_cyclic(args):
-    from .oracle import is_skew_cyclic
-    span, autom = _span(args, args.t)
-    flag = is_skew_cyclic(span, autom)
+    ctx, mat = parse_matrix(_read(args.path))
+    flag = skew_closed(mat, AutomorphismSpec(ctx, args.t))
     return 0, [f"skew cyclic: {'yes' if flag else 'no'}"], \
         {"skew_cyclic": flag}
 
@@ -213,7 +219,7 @@ _COMMANDS = {
     "enumerate": (_cmd_enumerate, "enumerate the span of a matrix file",
                   "path budget words"),
     "is-skew-cyclic": (_cmd_is_skew_cyclic, "test skew-shift closure of "
-                       "the span of a matrix file", "path t budget"),
+                       "the span of a matrix file", "path t"),
     "classify-z4": (_cmd_classify_z4, "classify the span of a quaternary "
                     "matrix file", "path t budget"),
     "verify-paper": (_cmd_verify_paper, "run the built-in reference checks",
@@ -272,15 +278,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one ``z24codes`` invocation; returns the exit code.  A handler
-    that returns no document refuses its input: its lines go to stderr."""
+    """Run one ``z24codes`` invocation; returns the exit code."""
     args = _build_parser().parse_args(argv)
     try:
         code, lines, doc = args.handler(args)
-        if doc is not None and args.format == "json":
+        if args.format == "json":
             lines = [json.dumps(doc, indent=2)]
         for line in lines:
-            print(line, file=sys.stdout if doc is not None else sys.stderr)
+            print(line)
         return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -11,10 +11,12 @@ quaternary part, so scaling by 2 kills the binary part.
     [ 0  S    | I    A01   A02 ]      k1 rows
     [ 0  0    | 0    2I    2A12]      k2 rows
 
-recording the row-reduction and the column permutations that were
-needed (they are returned, never hidden).  ``parity_check`` builds a
-generator matrix of the dual code from those blocks and audits it
-against the standard form before returning.
+in one pivot loop, recording the column permutations that were needed
+(they are returned, never hidden).  ``parity_check`` reads the blocks
+from that matrix to build a generator matrix of the dual code.  A word
+is in the code exactly when its ``syndrome``, its pairings with those
+rows, is zero; ``parity_check`` requires that of every standard-form
+row before returning.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "StandardFormResult",
     "inner_product",
     "standard_form",
+    "syndrome",
     "parity_check",
 ]
 
@@ -254,30 +257,14 @@ class StandardFormResult:
 
     ``g_std`` lives in permuted coordinates: its column ``i`` on either
     side is the caller's column ``bin_perm[i]`` or ``quat_perm[i]``.
-    The block attributes follow the layout in the module docstring;
-    ``t_block`` and ``a12`` hold the halved (field) entries whose
-    doubles appear in ``g_std``.
+    Its rows come in the k0, k1, k2 order of the layout in the module
+    docstring, and ``parity_check`` reads the blocks from them.
     """
 
     g_std: MixedMatrix
     code_type: CodeType
     bin_perm: tuple
     quat_perm: tuple
-    a01b: tuple
-    t_block: tuple
-    s_block: tuple
-    a01: tuple
-    a02: tuple
-    a12: tuple
-
-
-def _pivot(free, width, entry):
-    """First ``(row, col)`` with ``entry(row, col)`` true, column-major."""
-    for col in range(width):
-        for i in free:
-            if entry(i, col):
-                return i, col
-    return None
 
 
 def standard_form(mat: MixedMatrix) -> StandardFormResult:
@@ -293,8 +280,7 @@ def standard_form(mat: MixedMatrix) -> StandardFormResult:
     """
     ctx, r, s = mat.ctx, mat.r, mat.s
     rows = [[list(w.alpha), list(w.beta)] for w in mat.rows]
-    n = len(rows)
-    free = list(range(n))
+    free = list(range(len(rows)))
 
     def scale_row(i, gamma):
         gbar = gamma.reduce_mod2()
@@ -307,148 +293,108 @@ def standard_form(mat: MixedMatrix) -> StandardFormResult:
         rows[i][0] = [a - gbar * b for a, b in zip(rows[i][0], rows[j][0])]
         rows[i][1] = [a - gamma * b for a, b in zip(rows[i][1], rows[j][1])]
 
-    # Quaternary unit pivots (k1).  Clearing a pivot column can place
-    # new units into columns already scanned, so rescan from the left
-    # every round.
-    k1_rows, k1_cols = [], []
-    while True:
-        hit = _pivot(free, s, lambda i, c: rows[i][1][c].is_unit())
-        if hit is None:
-            break
-        i, col = hit
-        scale_row(i, rows[i][1][col].inverse())
-        for j in range(n):
-            if j != i and rows[j][1][col]:
-                subtract(j, rows[j][1][col], i)
-        free.remove(i)
-        k1_rows.append(i)
-        k1_cols.append(col)
+    # (side, is-pivot test, scalar an entry stands for, whether the k1
+    # rows are cleared) of the k1, k0 and k2 blocks.  Once the k1 rows
+    # are out, the free rows' quaternary parts are doubled, so only a
+    # scalar's mod-2 image matters; k2 pivots on halves and leaves the
+    # k1 rows their A01 block.  Clearing a column can place pivots into
+    # columns already scanned, so every round rescans from the left.
+    phases = ((1, RingElem.is_unit, lambda e: e, True),
+              (0, FieldElem.is_unit, FieldElem.lift, True),
+              (1, bool, lambda e: e.halve().lift(), False))
+    pivots = []
+    for side, is_pivot, scalar, clear_k1 in phases:
+        skip = () if clear_k1 else pivots[0][0]
+        p_rows, p_cols = [], []
+        while True:
+            hit = next(((i, c) for c in range(s if side else r) for i in free
+                        if is_pivot(rows[i][side][c])), None)
+            if hit is None:
+                break
+            i, col = hit
+            scale_row(i, scalar(rows[i][side][col]).inverse())
+            for j in range(len(rows)):
+                if j != i and j not in skip and rows[j][side][col]:
+                    subtract(j, scalar(rows[j][side][col]), i)
+            free.remove(i)
+            p_rows.append(i)
+            p_cols.append(col)
+        pivots.append((p_rows, p_cols))
+    (k1_rows, k1_cols), (k0_rows, k0_cols), (k2_rows, k2_cols) = pivots
 
-    # Binary pivots (k0) among the remaining rows.  Their quaternary
-    # parts are all doubled now, so these eliminations never disturb
-    # the k1 identity block.
-    k0_rows, k0_cols = [], []
-    while True:
-        hit = _pivot(free, r, lambda i, c: rows[i][0][c])
-        if hit is None:
-            break
-        i, col = hit
-        scale_row(i, rows[i][0][col].inverse().lift())
-        for j in range(n):
-            if j != i and rows[j][0][col]:
-                subtract(j, rows[j][0][col].lift(), i)
-        free.remove(i)
-        k0_rows.append(i)
-        k0_cols.append(col)
+    if any(any(rows[i][0]) or any(rows[i][1]) for i in free):
+        raise CheckFailed("a row survived all reduction phases")
 
-    # Doubled pivots (k2).  Remaining free rows have zero binary part
-    # and doubled quaternary part, so an entry is nonzero exactly when
-    # its half is; reduce the halves over the field.  Each pivot column
-    # is cleared from the earlier k2 rows too, so the k2 block ends up
-    # 2I.
-    k2_rows, k2_cols = [], []
-    while True:
-        hit = _pivot(free, s, lambda i, c: rows[i][1][c])
-        if hit is None:
-            break
-        i, col = hit
-        scale_row(i, rows[i][1][col].halve().inverse().lift())
-        for j in free + k2_rows:
-            if j != i and rows[j][1][col]:
-                subtract(j, rows[j][1][col].halve().lift(), i)
-        free.remove(i)
-        k2_rows.append(i)
-        k2_cols.append(col)
-
-    # Clear the k2 pivot columns out of the k0 rows so their quaternary
-    # parts live entirely in the trailing block.
-    for pi, col in zip(k2_rows, k2_cols):
-        for j in k0_rows:
-            if rows[j][1][col]:
-                subtract(j, rows[j][1][col].halve().lift(), pi)
-
-    for i in free:
-        if any(rows[i][0]) or any(rows[i][1]):
-            raise CheckFailed("a row survived all reduction phases")
-
-    k0, k1, k2 = len(k0_rows), len(k1_rows), len(k2_rows)
     bin_perm = tuple(k0_cols + [c for c in range(r) if c not in k0_cols])
     quat_perm = tuple(k1_cols + k2_cols +
                       [c for c in range(s)
                        if c not in k1_cols and c not in k2_cols])
+    g_std = MixedMatrix(ctx, r, s, [
+        MixedWord(ctx, [rows[i][0][c] for c in bin_perm],
+                  [rows[i][1][c] for c in quat_perm])
+        for i in k0_rows + k1_rows + k2_rows])
+    return StandardFormResult(
+        g_std, CodeType(r, s, len(k0_rows), len(k1_rows), len(k2_rows)),
+        bin_perm, quat_perm)
 
-    def build(i):
-        return MixedWord(ctx, [rows[i][0][c] for c in bin_perm],
-                         [rows[i][1][c] for c in quat_perm])
 
-    ordered = [build(i) for i in k0_rows + k1_rows + k2_rows]
-    g_std = MixedMatrix(ctx, r, s, ordered)
-    ct = CodeType(r, s, k0, k1, k2)
+def syndrome(h: MixedMatrix, w: MixedWord) -> tuple:
+    """The pairings of ``w`` with the rows of ``h``.
 
-    a01b = tuple(tuple(g_std[i].alpha[k0:]) for i in range(k0))
-    t_block = tuple(tuple(b.halve() for b in g_std[i].beta[k1 + k2:])
-                    for i in range(k0))
-    s_block = tuple(tuple(g_std[k0 + i].alpha[k0:]) for i in range(k1))
-    a01 = tuple(tuple(g_std[k0 + i].beta[k1:k1 + k2]) for i in range(k1))
-    a02 = tuple(tuple(g_std[k0 + i].beta[k1 + k2:]) for i in range(k1))
-    a12 = tuple(tuple(b.halve() for b in g_std[k0 + k1 + i].beta[k1 + k2:])
-                for i in range(k2))
-    return StandardFormResult(g_std, ct, bin_perm, quat_perm,
-                              a01b, t_block, s_block, a01, a02, a12)
+    With ``h`` a parity check of a code, all of them are zero exactly
+    when ``w`` is in the code (C = C-perp-perp).
+    """
+    return tuple(inner_product(w, row) for row in h)
 
 
 def parity_check(sf: StandardFormResult) -> MixedMatrix:
     """Generator matrix of the dual code, in the same permuted coordinates.
 
-    Built from the standard-form blocks and audited: every returned row
-    is checked orthogonal to every row of ``sf.g_std``.
+    Built from the blocks of ``sf.g_std`` and audited: every row of
+    ``sf.g_std`` must have a zero syndrome against the result.
 
     Raises
     ------
     OrthogonalityCheckFailed
         If the audit finds a nonzero pairing.
     """
-    ctx = sf.g_std.ctx
-    ct = sf.code_type
+    g, ct = sf.g_std, sf.code_type
+    ctx = g.ctx
     r, s, k0, k1, k2 = ct.r, ct.s, ct.k0, ct.k1, ct.k2
-    sw = s - k1 - k2
+    g0, g1, g2 = g[:k0], g[k0:k0 + k1], g[k0 + k1:]
     f0, f1 = ctx.field_zero(), ctx.field_one()
     r0, r1 = ctx.ring_zero(), ctx.ring_one()
 
     rows = []
     # Rows dual to the binary information set.
-    for i in range(r - k0):
-        alpha = [-sf.a01b[j][i] for j in range(k0)] + \
-                [f1 if j == i else f0 for j in range(r - k0)]
-        beta = [-(2 * sf.s_block[j][i].lift()) for j in range(k1)] + \
-               [r0] * (k2 + sw)
+    for c in range(k0, r):
+        alpha = [-w.alpha[c] for w in g0] + \
+                [f1 if j == c else f0 for j in range(k0, r)]
+        beta = [-(2 * w.alpha[c].lift()) for w in g1] + [r0] * (s - k1)
         rows.append(MixedWord(ctx, alpha, beta))
     # Rows dual to the free quaternary columns.
-    for i in range(sw):
-        alpha = [-sf.t_block[j][i] for j in range(k0)] + [f0] * (r - k0)
+    for c in range(k1 + k2, s):
+        alpha = [-w.beta[c].halve() for w in g0] + [f0] * (r - k0)
+        a12 = [w.beta[c].halve().lift() for w in g2]
         beta = []
-        for j in range(k1):
-            acc = -sf.a02[j][i]
-            for k in range(k2):
-                acc = acc + sf.a12[k][i].lift() * sf.a01[j][k]
+        for w in g1:
+            acc = -w.beta[c]
+            for a, b in zip(a12, w.beta[k1:k1 + k2]):
+                acc = acc + a * b
             beta.append(acc)
-        beta += [-sf.a12[k][i].lift() for k in range(k2)]
-        beta += [r1 if j == i else r0 for j in range(sw)]
+        beta += [-a for a in a12]
+        beta += [r1 if j == c else r0 for j in range(k1 + k2, s)]
         rows.append(MixedWord(ctx, alpha, beta))
     # Rows dual to the doubled pivots.
-    for i in range(k2):
-        alpha = [f0] * r
-        beta = [-(2 * sf.a01[j][i]) for j in range(k1)]
-        beta += [2 * r1 if j == i else r0 for j in range(k2)]
-        beta += [r0] * sw
-        rows.append(MixedWord(ctx, alpha, beta))
+    for c in range(k1, k1 + k2):
+        beta = [-(2 * w.beta[c]) for w in g1]
+        beta += [2 * r1 if j == c else r0 for j in range(k1, s)]
+        rows.append(MixedWord(ctx, [f0] * r, beta))
 
     h = MixedMatrix(ctx, r, s, rows)
-    for g_row in sf.g_std:
-        for h_row in h:
-            if inner_product(g_row, h_row):
+    for g_row in g:
+        for h_row, pairing in zip(h, syndrome(h, g_row)):
+            if pairing:
                 raise OrthogonalityCheckFailed(
-                    f"<{g_row}, {h_row}> = "
-                    f"{inner_product(g_row, h_row)}"
-                )
+                    f"<{g_row}, {h_row}> = {pairing}")
     return h

@@ -449,11 +449,11 @@ def brute_force_dual(code, budget: int = DEFAULT_BUDGET) -> EnumeratedCode:
     return EnumeratedCode(codec, dual, None)
 
 
-def _ensure_enumerated(code, ctx=None, r=None, s=None) -> EnumeratedCode:
+def _ensure_enumerated(code) -> EnumeratedCode:
     if isinstance(code, EnumeratedCode):
         return code
     rows = _as_rows(code)
-    ctx, r, s = _row_shape(rows, ctx, r, s)
+    ctx, r, s = _row_shape(rows)
     codec = _Codec(ctx, r, s)
     keys = np.unique(codec.array([codec.encode(w) for w in rows]))
     return EnumeratedCode(codec, codec.store(keys), None)

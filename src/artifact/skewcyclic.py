@@ -5,7 +5,8 @@ of skew polynomials ``(a(x), b(x))`` in ``F[x;theta] x R[x;theta]``
 taken modulo ``x^r - 1`` and ``x^s - 1``.  The skew cyclic shift
 rotates each side one step and applies the automorphism to every
 entry; multiplication by ``x`` on the pair side matches the shift on
-the word side.
+the word side.  ``skew_closed`` decides whether the span of a matrix
+is closed under the shift from its parity check, without enumerating.
 
 A code of this kind is described by a generator tuple built from up to
 three template rows::
@@ -38,7 +39,8 @@ from typing import Optional
 from .errors import (ContextMismatch, DivisionByZero, DivisorNotUnitLeading,
                      MissingComponent, NotRightDivisible, ShapeMismatch)
 from .galois import AutomorphismSpec
-from .mixedcode import MixedMatrix, MixedWord
+from .mixedcode import (MixedMatrix, MixedWord, parity_check,
+                        standard_form, syndrome)
 from .skewpoly import SkewPoly
 
 __all__ = [
@@ -48,6 +50,7 @@ __all__ = [
     "ValidationReport",
     "SpanningSet",
     "theta_shift",
+    "skew_closed",
     "to_pair",
     "from_pair",
     "module_mul",
@@ -96,6 +99,24 @@ def theta_shift(w: MixedWord, autom: AutomorphismSpec) -> MixedWord:
     if beta:
         beta = beta[-1:] + beta[:-1]
     return MixedWord(w.ctx, alpha, beta)
+
+
+def skew_closed(mat: MixedMatrix, autom: AutomorphismSpec) -> bool:
+    """Whether the span of ``mat`` maps into itself under the skew shift.
+
+    The shift is additive and twists scalars by the automorphism, so it
+    maps the span into itself exactly when it maps every row into it;
+    each shifted row, moved into the standard form's coordinates, must
+    have a zero syndrome against the parity check.
+    """
+    sf = standard_form(mat)
+    h = parity_check(sf)
+    for w in mat:
+        shifted = theta_shift(w, autom)
+        if any(syndrome(h, shifted.permute_columns(sf.bin_perm,
+                                                   sf.quat_perm))):
+            return False
+    return True
 
 
 def to_pair(w: MixedWord, autom: AutomorphismSpec) -> ModulePair:

@@ -18,8 +18,9 @@ from artifact import (AutomorphismSpec, CodeType, MixedMatrix, MixedWord,
                       brute_force_dual, classify_z4_skew_cyclic,
                       derive_cofactors, inner_product, is_skew_cyclic,
                       min_hamming_distance, parity_check, parse_poly,
-                      right_divides, skew_code_cardinality, span_closure,
-                      spanning_set, standard_form, validate_generators)
+                      right_divides, skew_closed, skew_code_cardinality,
+                      span_closure, spanning_set, standard_form,
+                      validate_generators)
 from artifact import oracle
 from artifact.reference import (four_four_matrix, gens_four_four,
                                 gens_seven_seven, seven_seven_matrix,
@@ -101,6 +102,11 @@ class TestStandardFormReduction:
         permuted = mat.permute_columns(sf.bin_perm, sf.quat_perm)
         assert span_closure(list(sf.g_std.rows)) == \
             span_closure(list(permuted.rows))
+
+    def test_span_is_not_skew_cyclic(self):
+        mat = worked_matrix()
+        assert not skew_closed(mat, _AUT2)
+        assert not is_skew_cyclic(span_closure(list(mat.rows)), _AUT2)
 
 
 class TestDualDerivation:
@@ -201,6 +207,9 @@ class TestSevenSevenSpanningSet:
         _, _, code = seven_seven
         assert is_skew_cyclic(code, _AUT2)
 
+    def test_skew_closure_read_from_the_parity_check(self):
+        assert skew_closed(seven_seven_matrix(), _AUT2)
+
     @pytest.mark.xfail(
         reason="the reference 10x14 matrix spans 2^26 words, matching "
                "the cofactor-degree formula; 2^20 undercounts it",
@@ -242,6 +251,9 @@ class TestFourFourSpanningSet:
     def test_span_is_closed_under_the_skew_shift(self, four_four):
         _, _, code = four_four
         assert is_skew_cyclic(code, _AUT2)
+
+    def test_skew_closure_read_from_the_parity_check(self):
+        assert skew_closed(four_four_matrix(), _AUT2)
 
     @pytest.mark.xfail(
         reason="three of the six reference rows are redundant; the "

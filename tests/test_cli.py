@@ -2,15 +2,17 @@
 
 import json
 import pathlib
+import random
 import re
 import subprocess
 import sys
 
 import pytest
 
-from artifact import cli
+from artifact import (AutomorphismSpec, MixedMatrix, MixedWord, RingContext,
+                      cli, standard_form, theta_shift)
 from artifact.reference import gens_four_four
-from artifact.textio import emit_gens
+from artifact.textio import emit_gens, emit_matrix
 
 MATRIX_FILE = """m: 2
 h: 1+x+x^2
@@ -146,6 +148,20 @@ def test_validate_gens_failure_is_exit_one(tmp_path):
     assert "FAIL" in res.stdout
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_span_refuses_with_the_validation_report(tmp_path, capsys, fmt):
+    path = tmp_path / "bad.gens"
+    path.write_text("m: 2\nh: 1+x+x^2\nr: 7\ns: 7\nf: 1+x+x^2\n")
+    outputs = []
+    for command in ("validate-gens", "span"):
+        assert cli.main([command, str(path), "--format", fmt]) == 1
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[1].err == ""
+    if fmt == "json":
+        assert json.loads(outputs[1].out)["valid"] is False
+
+
 @pytest.mark.parametrize("divisor, detail", [
     ("f: 0", "[FAIL] f |r x^r-1 (mod 2)  "
              "(right division by the zero polynomial)"),
@@ -214,8 +230,7 @@ def test_enumerate_budget_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])
-@pytest.mark.parametrize("command", ["enumerate", "is-skew-cyclic",
-                                     "classify-z4"])
+@pytest.mark.parametrize("command", ["enumerate", "classify-z4"])
 def test_nonpositive_budget_is_a_usage_error(tmp_path, capsys, command,
                                              budget):
     path = tmp_path / "code.mat"
@@ -244,6 +259,42 @@ def test_is_skew_cyclic(tmp_path):
     path.write_text(QUATERNARY_FILE)
     res = run_cli("is-skew-cyclic", str(path))
     assert "skew cyclic: yes" in res.stdout
+
+
+def test_is_skew_cyclic_answers_past_any_budget(tmp_path):
+    # r = s = 15 at m = 3: 2^135 ambient words.  The 15 shifts of a
+    # word span a closed code; the first 12 span a smaller type, so
+    # they miss a shift.
+    ctx = RingContext(3, (3, 1, 2, 1))
+    autom = AutomorphismSpec(ctx, 1)
+    rng = random.Random(15)
+    rows = [MixedWord(ctx, [ctx.field_from_index(rng.randrange(8))
+                            for _ in range(15)],
+                      [ctx.ring_from_index(rng.randrange(64))
+                       for _ in range(15)])]
+    while (nxt := theta_shift(rows[-1], autom)) != rows[0]:
+        rows.append(nxt)
+    assert len(rows) == 15
+    part = MixedMatrix.from_rows(rows[:12])
+    assert standard_form(part).code_type != \
+        standard_form(MixedMatrix.from_rows(rows)).code_type
+    for mat, answer in ((MixedMatrix.from_rows(rows), "yes"),
+                        (part, "no")):
+        path = tmp_path / "wide.mat"
+        path.write_text(emit_matrix(mat))
+        res = run_cli("is-skew-cyclic", str(path))
+        assert (res.returncode, res.stdout, res.stderr) == \
+            (0, f"skew cyclic: {answer}\n", "")
+
+
+def test_is_skew_cyclic_takes_no_budget(tmp_path, capsys):
+    path = tmp_path / "code.mat"
+    path.write_text(QUATERNARY_FILE)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["is-skew-cyclic", str(path), "--budget", "5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: unrecognized arguments: --budget 5\n")
 
 
 def test_classify(tmp_path):
@@ -353,7 +404,8 @@ def test_algebraic_commands_start_without_numpy(tmp_path):
         ["validate-gens", str(gens)],
         ["cofactors", str(gens)],
         ["span", str(gens)],
-    ) == {"exit": [0] * 7, "numpy": False}
+        ["is-skew-cyclic", str(mat)],
+    ) == {"exit": [0] * 8, "numpy": False}
 
 
 def test_enumerate_loads_numpy(tmp_path):

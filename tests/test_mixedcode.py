@@ -3,7 +3,8 @@
 import pytest
 
 from artifact import (CodeType, ContextMismatch, MixedMatrix, MixedWord,
-                      ShapeMismatch, inner_product, parity_check,
+                      OrthogonalityCheckFailed, ShapeMismatch,
+                      StandardFormResult, inner_product, parity_check,
                       parse_gens, span_closure, spanning_set, standard_form)
 from artifact.reference import worked_matrix, worked_standard
 
@@ -195,3 +196,13 @@ class TestParityCheck:
         h = parity_check(sf)
         dt = sf.code_type.dual()
         assert len(h) == dt.k0 + dt.k1 + dt.k2
+
+    def test_audit_names_a_row_with_a_nonzero_syndrome(self):
+        # The unreduced matrix under the standard form's type: the rows
+        # read from its blocks do not annihilate it.
+        sf = standard_form(worked_matrix())
+        unreduced = StandardFormResult(worked_matrix(), sf.code_type,
+                                       sf.bin_perm, sf.quat_perm)
+        with pytest.raises(OrthogonalityCheckFailed) as info:
+            parity_check(unreduced)
+        assert str(info.value) == "<1 1+w | 2+2*w 2 2, 1 1 | 0 3 1> = 2*w"

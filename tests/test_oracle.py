@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import tracemalloc
 from collections import Counter
 
@@ -14,8 +15,8 @@ from artifact import (AutomorphismSpec, BudgetExceeded, MixedMatrix,
                       MixedWord, NotACode, RingContext, ShapeMismatch,
                       SkewPoly, TrivialCode, brute_force_dual,
                       classify_z4_skew_cyclic, inner_product, is_skew_cyclic,
-                      min_hamming_distance, parity_check, span_closure,
-                      standard_form, theta_shift)
+                      min_hamming_distance, parity_check, skew_closed,
+                      span_closure, standard_form, syndrome, theta_shift)
 from artifact import oracle
 
 _CTX1 = RingContext(1, (1, 1))
@@ -159,6 +160,10 @@ _M3_SHAPES = [(0, 1), (0, 2), (1, 1), (2, 1), (1, 2)]
 _DUAL_SHAPES = {_CTX2: [(0, 2), (1, 1), (1, 2), (3, 1)],
                 _CTX3: [(0, 1), (1, 1)]}
 _M1_SHAPES = [(0, 3), (1, 2), (2, 3), (3, 4), (2, 6)]
+# Shapes whose ambient space has at most 2^16 words, for the structural
+# witnesses.
+_WITNESS_SHAPES = {_CTX2: [(0, 4), (1, 3), (2, 2), (2, 3), (4, 2), (6, 1)],
+                   _CTX3: [(0, 2), (1, 1), (1, 2), (3, 1), (5, 0)]}
 # (ctx, r, s) by where brute_force_dual splits the packed bits, at
 # bits // 2.
 _SPLIT_SHAPES = [
@@ -484,6 +489,79 @@ class TestSkewCyclicPredicate:
             members = all(theta_shift(w, autom) in code for w in code)
             assert members is expect
             assert is_skew_cyclic(code, autom) is expect
+
+
+def sparse_word(rng, ctx, r, s):
+    """A random word of shape ``(r, s)``; 40% of its entries are zero."""
+    def index(bits):
+        return 0 if rng.random() < 0.4 else rng.randrange(1 << bits)
+
+    return MixedWord(ctx, [ctx.field_from_index(index(ctx.m))
+                           for _ in range(r)],
+                     [ctx.ring_from_index(index(2 * ctx.m))
+                      for _ in range(s)])
+
+
+def witness_rows(rng, ctx, autom, complete):
+    """One to three sparse rows of a shape with at most 2^16 ambient
+    words, 30% of them doubled, so column swaps and doubled pivots
+    occur.  With ``complete``, every shift of every row joins them, so
+    their span is skew cyclic."""
+    r, s = rng.choice(_WITNESS_SHAPES[ctx])
+    rows = []
+    for _ in range(rng.randint(1, 3)):
+        w = sparse_word(rng, ctx, r, s)
+        rows.append(w.scale(ctx.ring((2,))) if rng.random() < 0.3 else w)
+    if complete:
+        rows = [w for row in rows for w in shift_orbit(row, autom)]
+    return rows
+
+
+class TestStructuralWitnesses:
+    """skew_closed and syndrome, both read from the parity check,
+    against the enumerated span."""
+
+    @pytest.mark.parametrize("ctx", [_CTX2, _CTX3], ids=["m2", "m3"])
+    @pytest.mark.parametrize("t", [1, 2])
+    @settings(max_examples=30)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_skew_closed_matches_enumeration(self, rng, ctx, t):
+        autom = AutomorphismSpec(ctx, t)
+        completed = rng.random() < 0.5
+        rows = witness_rows(rng, ctx, autom, completed)
+        closed = skew_closed(MixedMatrix.from_rows(rows), autom)
+        assert closed is is_skew_cyclic(span_closure(rows), autom)
+        assert closed or not completed
+
+    def test_seeded_corpus_shows_both_answers(self):
+        rng = random.Random(13)
+        answers = Counter()
+        for _ in range(80):
+            ctx = rng.choice((_CTX2, _CTX3))
+            autom = AutomorphismSpec(ctx, rng.choice((1, 2)))
+            rows = witness_rows(rng, ctx, autom, rng.random() < 0.5)
+            closed = skew_closed(MixedMatrix.from_rows(rows), autom)
+            assert closed is is_skew_cyclic(span_closure(rows), autom)
+            answers[closed] += 1
+        assert answers[True] >= 20 and answers[False] >= 20
+
+    @pytest.mark.parametrize("ctx", [_CTX2, _CTX3], ids=["m2", "m3"])
+    @settings(max_examples=40)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_zero_syndrome_is_membership(self, rng, ctx):
+        rows = witness_rows(rng, ctx, None, False)
+        r, s = rows[0].r, rows[0].s
+        if rng.random() < 0.5:
+            w = sparse_word(rng, ctx, r, s)
+        else:
+            w = MixedWord.from_ints(ctx, [0] * r, [0] * s)
+            for row in rows:
+                w = w + row.scale(ctx.ring_from_index(
+                    rng.randrange(1 << 2 * ctx.m)))
+        sf = standard_form(MixedMatrix.from_rows(rows))
+        moved = w.permute_columns(sf.bin_perm, sf.quat_perm)
+        member = not any(syndrome(parity_check(sf), moved))
+        assert member is (w in span_closure(rows))
 
 
 class TestClassifier:

@@ -36,9 +36,9 @@ def test_unknown_attribute_raises():
 def test_one_default_budget():
     parser = cli._build_parser()
     parsed = [parser.parse_args([name, "code.mat"]).budget
-              for name in ("enumerate", "is-skew-cyclic", "classify-z4")]
+              for name in ("enumerate", "classify-z4")]
     assert (artifact.DEFAULT_BUDGET, errors.DEFAULT_BUDGET,
-            oracle.DEFAULT_BUDGET, *parsed) == (1 << 24,) * 6
+            oracle.DEFAULT_BUDGET, *parsed) == (1 << 24,) * 5
 
 
 def test_oracle_loads_on_first_access():

@@ -376,7 +376,10 @@ def test_expression_grammars_parse_as_before():
 # declared in one table.  The two "span four.gens" entries were
 # re-recorded when span began to print the exact cardinality, 16384, in
 # place of the cofactor-degree formula's 65536; they were 9a5e1664...
-# and 975cf3fb... before.
+# and 975cf3fb... before.  "span bad.gens" was re-recorded, and its
+# JSON form added, when span began to print a failing validation report
+# on stdout as validate-gens does; it was 88c312a4... before, with the
+# report on stderr.
 
 _CLI_FILES = {
     "code.mat": emit_matrix(worked_matrix()),
@@ -449,7 +452,9 @@ CLI_SHA = {
     "span empty.gens":
         "122a841cd28ba838d94a87f9e5aa74876e65a3ec0f98bccc206b7affb4829f20",
     "span bad.gens":
-        "88c312a4cc1c6b995dd732a4daa1ca580b8c9421d0a60e2e65a451c4e5582079",
+        "b173402789b2fc70b12a24c0e95304b6dddd88066e1263d585f8852e7d63f073",
+    "span bad.gens --format json":
+        "0f2d39015bd3f5e53fe679e540969d2ffadd411d733a195a047e7faa1346bdd9",
     "enumerate quat.mat":
         "c170eb2179e88dfdbc2275bef05c2f3cfb782bc893d63a0399309eaa4b670d7b",
     "enumerate quat.mat --format json":
