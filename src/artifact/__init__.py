@@ -25,10 +25,10 @@ from .mixedcode import (CodeType, MixedMatrix, MixedWord,
                         StandardFormResult, inner_product, parity_check,
                         standard_form, syndrome)
 from .skewcyclic import (ConditionCheck, ModulePair, SkewGenerators,
-                         SpanningSet, ValidationReport, derive_cofactors,
-                         from_pair, module_mul, skew_closed,
-                         skew_code_cardinality, spanning_set, theta_shift,
-                         to_pair, validate_generators)
+                         SpanningSet, ValidationReport, analyse_generators,
+                         derive_cofactors, from_pair, module_mul,
+                         skew_closed, skew_code_cardinality, spanning_set,
+                         theta_shift, to_pair, validate_generators)
 from .skewpoly import SkewPoly, right_divides
 from .textio import (emit_gens, emit_matrix, int_poly_str, parse_element,
                      parse_gens, parse_int_poly, parse_matrix, parse_poly)
@@ -45,9 +45,9 @@ __all__ = [
     "NotRightDivisible", "NotUnit", "OrthogonalityCheckFailed",
     "ParseError", "RingContext", "RingElem", "ShapeMismatch",
     "SkewGenerators", "SkewPoly", "SpanningSet", "StandardFormResult",
-    "TrivialCode", "ValidationReport", "brute_force_dual",
-    "classify_z4_skew_cyclic", "derive_cofactors", "emit_gens",
-    "emit_matrix", "from_pair", "inner_product", "int_poly_str",
+    "TrivialCode", "ValidationReport", "analyse_generators",
+    "brute_force_dual", "classify_z4_skew_cyclic", "derive_cofactors",
+    "emit_gens", "emit_matrix", "from_pair", "inner_product", "int_poly_str",
     "is_skew_cyclic", "min_hamming_distance", "module_mul", "parity_check",
     "parse_element", "parse_gens", "parse_int_poly", "parse_matrix",
     "parse_poly", "right_divides", "skew_closed", "skew_code_cardinality",

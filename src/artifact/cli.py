@@ -23,8 +23,8 @@ from .errors import DEFAULT_BUDGET, ArtifactError, BudgetExceeded, ParseError
 from .galois import AutomorphismSpec, RingContext
 from .mixedcode import parity_check, standard_form
 from .reference import checks
-from .skewcyclic import (derive_cofactors, skew_closed, spanning_set,
-                         validate_generators)
+from .skewcyclic import (analyse_generators, derive_cofactors,
+                         skew_closed, spanning_set, validate_generators)
 from .textio import (emit_matrix, int_poly_str, parse_element, parse_gens,
                      parse_int_poly, parse_matrix, parse_poly)
 
@@ -123,9 +123,8 @@ def _cmd_dual(args):
                    parity_check(sf))
 
 
-def _validation(gens):
-    """The validation report of ``gens``: exit 0 when valid, else 1."""
-    report = validate_generators(gens)
+def _validation(report):
+    """A validation report's lines: exit 0 when valid, else 1."""
     doc = {"case": report.case, "valid": report.valid,
            "checks": [{"name": c.name, "passed": c.passed,
                        "detail": c.detail} for c in report.checks],
@@ -135,7 +134,7 @@ def _validation(gens):
 
 def _cmd_validate_gens(args):
     _, _, gens = parse_gens(_read(args.path))
-    return _validation(gens)
+    return _validation(validate_generators(gens))
 
 
 def _cmd_cofactors(args):
@@ -153,10 +152,11 @@ def _cmd_cofactors(args):
 
 def _cmd_span(args):
     _, _, gens = parse_gens(_read(args.path))
-    status, lines, doc = _validation(gens)
+    report, full, _ = analyse_generators(gens)
+    status, lines, doc = _validation(report)
     if status:
         return status, lines, doc
-    _, mat = spanning_set(derive_cofactors(gens))
+    _, mat = spanning_set(full)
     # Exact, where skew_code_cardinality overcounts dependent rows.
     card = standard_form(mat).code_type.cardinality(mat.ctx.m)
     return _report([("cardinality", "cardinality", card)], mat)
@@ -238,13 +238,25 @@ def _budget(text: str) -> int:
     return value
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it rejects arguments it does not know
+    itself, so the error shows its own usage line, not the root's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="z24codes",
         description="Mixed binary/quaternary codes over Galois rings: "
                     "standard forms, duals, skew cyclic spanning sets and "
                     "brute-force checks.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_SubcommandParser)
     for name, (handler, help_text, inputs) in _COMMANDS.items():
         inputs = inputs.split()
         p = sub.add_parser(name, help=help_text)

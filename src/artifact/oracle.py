@@ -21,8 +21,10 @@ Spans are built by coset enumeration over a worklist of generator
 rows.  The scalar multiples ``K`` of a row form a subgroup of at most
 ``4^m`` words, so the next span ``H + K`` is the disjoint union of the
 translates ``H + k`` over coset representatives ``k`` of
-``K / (H & K)``, written into the slices of one buffer and sorted once.
-The next size ``|H| * |reps|`` is exact, so a word budget (default
+``K / (H & K)``.  Each coset is named by its least word, read off one
+table of at most ``4^m x 4^m`` sums, and one broadcast addition writes
+every translate into one ``|reps| x |H|`` buffer, sorted once.  The
+next size ``|H| * |reps|`` is exact, so a word budget (default
 ``2**24``) raises :class:`~artifact.errors.BudgetExceeded` before the
 buffer exists.  For skew closure the shift of each processed row joins
 the worklist when it is not already in the span.  The rows that grew
@@ -278,17 +280,22 @@ def _isin(span: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return span[idx] == keys
 
 
+def _coset_reps(codec: _Codec, span: np.ndarray,
+                mult: np.ndarray) -> np.ndarray:
+    """The least word of each coset of ``H & K`` in ``K``, sorted.
+
+    ``H`` is the sorted span and ``K`` the sorted scalar multiples
+    ``mult`` of one row; the table of sums has at most ``4^m x 4^m``
+    entries.
+    """
+    inter = mult[_isin(span, mult)]
+    return np.unique(codec.add(mult[:, None], inter[None, :]).min(axis=1))
+
+
 def _grow(codec: _Codec, span: np.ndarray, row, budget: int):
     """One coset step: the sorted span of ``span`` and ``row``, or None
     when ``span`` already holds ``row``."""
-    mult = codec.multiples(row)
-    inter = mult[_isin(span, mult)]
-    reps = []
-    covered = np.zeros(len(mult), dtype=bool)
-    for i, k in enumerate(mult):
-        if not covered[i]:
-            reps.append(k)
-            covered[np.searchsorted(mult, codec.add(inter, k))] = True
+    reps = _coset_reps(codec, span, codec.multiples(row))
     if len(reps) == 1:
         return None
     n = len(span)
@@ -297,8 +304,7 @@ def _grow(codec: _Codec, span: np.ndarray, row, budget: int):
         raise BudgetExceeded(f"span would grow to {size} words, "
                              f"past the budget of {budget} words")
     grown = np.empty(size, dtype=codec.dtype)
-    for i, k in enumerate(reps):
-        codec.add(span, k, out=grown[i * n:(i + 1) * n])
+    codec.add(span[None, :], reps[:, None], out=grown.reshape(len(reps), n))
     grown.sort()
     return grown
 
@@ -497,13 +503,19 @@ def classify_z4_skew_cyclic(code, autom: AutomorphismSpec,
     - case `iii`: monic words exist, none of minimal degree;
       ``C = <g + 2a, 2q>``.
 
-    The witnesses are verified to regenerate the input exactly.
+    The witnesses are picked in numpy: among the least-degree words
+    whose leading coefficient is 1 (for ``g + 2a``) or 2 (for ``2q``),
+    the one whose coefficients, read from ``x^0`` upward, come first.
+    In a module these are exactly the words normalised by their leading
+    unit, so only the one or two chosen words are decoded.  The
+    witnesses are verified to regenerate the input exactly.
 
     Raises
     ------
     NotACode
-        If the set is not module closed and shift closed, or the
-        witnesses do not regenerate it.
+        If the set is not module closed and shift closed (unit-leading
+        words of the least degree but no monic one among them, say), or
+        the witnesses do not regenerate it.
     TrivialCode
         For the zero code, which fits every case at once.
     """
@@ -525,8 +537,7 @@ def classify_z4_skew_cyclic(code, autom: AutomorphismSpec,
 
     # Per nonzero word: its degree (highest nonzero coordinate), whether
     # its leading coefficient is a unit (has an odd coefficient), and
-    # whether every coefficient is even.  Only the words the chosen case
-    # needs are decoded.
+    # whether every coefficient is even.
     words = arr[1:]
     odd = words & codec.low_mask
     deg = np.zeros(len(words), dtype=np.intp)
@@ -536,10 +547,28 @@ def classify_z4_skew_cyclic(code, autom: AutomorphismSpec,
         deg[nonzero] = j
         unit[nonzero] = ((odd[nonzero] >> src) & mask) != 0
     doubled = odd == 0
+    # Coordinate j goes to the place of coordinate s-1-j, so the keys
+    # order words by their coefficients from x^0 upward.  On doubled
+    # words that is the order of their halves: the index of 2b is the
+    # index of b spread over the high bit of each pair.
+    identity = np.arange(4 ** ctx.m).astype(codec.dtype)
+    ascending = codec.offsets[::-1]
 
-    def decoded(select) -> list:
-        return [SkewPoly(autom, codec.decode(int(v)).beta, True)
-                for v in words[select]]
+    def least(select, degree: int, lead: int) -> list:
+        """Coefficients of the first word, by that key, of those in
+        ``words[select]`` (all of ``degree``) whose leading coordinate
+        has index ``lead``.  Only this word is decoded.
+
+        In a module each word of ``select`` has a unit multiple with
+        that lead, so finding none means the set is not one.
+        """
+        cand = words[select]
+        src, mask = codec.offsets[degree], codec.masks[degree]
+        cand = cand[((cand >> src) & mask) == lead]
+        if not len(cand):
+            raise NotACode("the set lacks the scalar multiples of its words")
+        key = codec.map(cand, [identity] * s, ascending)
+        return codec.decode(int(cand[np.argmin(key)])).beta
 
     def as_word(poly: SkewPoly) -> MixedWord:
         return MixedWord(ctx, [], [poly.coeff(i) for i in range(s)])
@@ -549,9 +578,8 @@ def classify_z4_skew_cyclic(code, autom: AutomorphismSpec,
     if unit.any():
         dmin = deg[unit].min()
         case = "ii" if dmin == deg.min() else "iii"
-        cand = min((p.lead.inverse() * p
-                    for p in decoded(unit & (deg == dmin))),
-                   key=lambda p: tuple(ctx.ring_index(c) for c in p.coeffs))
+        cand = SkewPoly(autom, least(unit & (deg == dmin), dmin,
+                                     ctx.ring_index(ctx.ring_one())), True)
         g = cand.mod2().lift()
         a = SkewPoly(autom, [c.halve() for c in (cand - g).coeffs],
                      False).lift()
@@ -560,16 +588,14 @@ def classify_z4_skew_cyclic(code, autom: AutomorphismSpec,
         case = "i"
     if case != "ii":
         # In case i every word is doubled: rotating a unit coefficient to
-        # the top would give a unit-leading word.  In a code the monic
-        # halves of the least-degree doubled words coincide.
+        # the top would give a unit-leading word.  The least-degree
+        # doubled words of lead 2 are the ones with monic halves.
         if not doubled.any():
             raise NotACode("the set lacks the doubles of its words")
         hmin = deg[doubled].min()
-        halves = [SkewPoly(autom, [c.halve() for c in p.coeffs], False)
-                  for p in decoded(doubled & (deg == hmin))]
-        hcand = min((h.lead.inverse() * h for h in halves),
-                    key=lambda h: tuple(ctx.field_index(c) for c in h.coeffs))
-        q = hcand.lift()
+        half = least(doubled & (deg == hmin), hmin,
+                     ctx.ring_index(ctx.ring((2,))))
+        q = SkewPoly(autom, [c.halve() for c in half], False).lift()
         witness_rows.append(as_word((2 * q).reduce_mod_xn(s)))
 
     regen = span_closure(witness_rows, autom=autom, skew=True, budget=budget,

@@ -20,10 +20,11 @@ case and reports each one by name.  ``derive_cofactors`` returns the
 cofactors ``h_f, h_g, h_q`` and the mixing polynomial ``k``: they are
 the quotients of the divisions the report names, taken from the same
 single pass over the cases, and it raises with the first required
-division that leaves a remainder.  ``spanning_set`` lays out the
-shifts of the template rows whose span is the whole code, and
-``skew_code_cardinality`` counts the codewords from the cofactor
-degrees alone.
+division that leaves a remainder.  ``analyse_generators`` returns that
+pass whole: the report and the completed tuple together.
+``spanning_set`` lays out the shifts of the template rows whose span
+is the whole code, and ``skew_code_cardinality`` counts the codewords
+from the cofactor degrees alone.
 
 When ``g + 2a`` does not divide ``x^s - 1`` exactly but ``g`` does,
 the tuple is still accepted: the leftover of the ``g`` row under
@@ -54,6 +55,7 @@ __all__ = [
     "to_pair",
     "from_pair",
     "module_mul",
+    "analyse_generators",
     "validate_generators",
     "derive_cofactors",
     "spanning_set",
@@ -287,12 +289,14 @@ def _materialized_residual(gens: SkewGenerators, h_g: SkewPoly):
     return l1m, qm
 
 
-def _analyse(gens: SkewGenerators):
+def analyse_generators(gens: SkewGenerators):
     """Walk the case conditions of a tuple once.
 
     Returns the :class:`ValidationReport`, the tuple completed with
     every cofactor that exists, and the message of the first division
-    the case requires that fails (None when all are exact).
+    the case requires that fails (None when all are exact, as in every
+    valid report).  :func:`validate_generators` and
+    :func:`derive_cofactors` each return a part of this one result.
     """
     autom, r, s, case = gens.autom, gens.r, gens.s, gens.case
     checks, notes = [], []
@@ -428,7 +432,7 @@ def validate_generators(gens: SkewGenerators) -> ValidationReport:
     with a detail string.  The report's ``valid`` property is the
     conjunction.
     """
-    return _analyse(gens)[0]
+    return analyse_generators(gens)[0]
 
 
 def derive_cofactors(gens: SkewGenerators) -> SkewGenerators:
@@ -446,7 +450,7 @@ def derive_cofactors(gens: SkewGenerators) -> SkewGenerators:
         With the first division this case requires that leaves a
         remainder, in the order the report lists them.
     """
-    _, full, error = _analyse(gens)
+    _, full, error = analyse_generators(gens)
     if error is not None:
         raise NotRightDivisible(error)
     return full

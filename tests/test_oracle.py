@@ -98,6 +98,20 @@ def naive_classify(code, autom):
     return case, g, a, q, regen == code
 
 
+def scan_coset_reps(codec, span, mult):
+    """Representatives of the cosets of ``mult``'s intersection with
+    ``span``: scanning the sorted multiples, each one not yet covered
+    names its coset and covers it."""
+    inter = mult[oracle._isin(span, mult)]
+    reps = []
+    covered = np.zeros(len(mult), dtype=bool)
+    for i, k in enumerate(mult):
+        if not covered[i]:
+            reps.append(k)
+            covered[np.searchsorted(mult, codec.add(inter, k))] = True
+    return reps
+
+
 def krawtchouk(k, i, n, q):
     """Coefficient of ``X^(n-k) Y^k`` in ``(X + (q-1)Y)^(n-i) (X - Y)^i``."""
     return sum((-1) ** h * math.comb(i, h) * math.comb(n - i, k - h)
@@ -313,6 +327,35 @@ class TestSpanProperties:
         assert closed.codec.vector
         assert closed == span_closure(orbits)
         assert is_skew_cyclic(closed, autom)
+
+    @settings(max_examples=40)
+    @given(st.data(), st.sampled_from([
+        (_CTX1, [(0, 3), (2, 6)]), (_CTX2, _SMALL_SHAPES),
+        (_CTX2, [(1, 16)]), (_CTX3, [(1, 2)]), (_CTX3, [(2, 10)])]))
+    def test_coset_reps_match_the_sorted_scan(self, data, ctx_shapes):
+        # (1, 16) at m = 2 and (2, 10) at m = 3 pack into 66 bits.
+        ctx, shapes = ctx_shapes
+        rows = data.draw(random_rows(ctx, shapes, 3))
+        if len(rows) > 1 and data.draw(st.booleans()):
+            # Twice this row lies in the span of the first: the
+            # intersection is a proper subgroup of its multiples.
+            rows[-1] = rows[0] + rows[-1].scale(ctx.ring((2,)))
+        codec = oracle._Codec(ctx, rows[0].r, rows[0].s)
+        span = codec.array([0])
+        for row in rows:
+            packed = codec.encode(row)
+            mult = codec.multiples(packed)
+            reps = scan_coset_reps(codec, span, mult)
+            assert [int(k) for k in oracle._coset_reps(codec, span, mult)] \
+                == [int(k) for k in reps]
+            grown = oracle._grow(codec, span, packed, oracle.DEFAULT_BUDGET)
+            if len(reps) == 1:
+                assert grown is None
+                continue
+            ref = np.sort(np.concatenate([codec.add(span, k) for k in reps]))
+            assert grown.dtype == codec.dtype
+            assert [int(v) for v in grown] == [int(v) for v in ref]
+            span = grown
 
 
 class TestBruteForceDual:
@@ -716,7 +759,19 @@ class TestClassifierPins:
 
         monkeypatch.setattr(oracle._Codec, "decode", counted)
         assert classify_z4_skew_cyclic(code, _AUT2).case == "ii"
-        assert len(decodes) <= 4 ** _CTX2.m
+        assert len(decodes) <= 2
+
+    def test_unit_leads_without_a_monic_word_are_no_code(self):
+        # The Teichmueller units x and x^2 swap under the Frobenius, so
+        # the set is shift closed, but it lacks 1 * (1, 1, 1, 1).
+        xi = _CTX2.ring((0, 1))
+        units = [xi, xi * xi]
+        ones = MixedWord(_CTX2, [], [_CTX2.ring_one()] * 4)
+        words = [ones.scale(_CTX2.ring_zero())] + [ones.scale(u)
+                                                  for u in units]
+        assert is_skew_cyclic(words, _AUT2)
+        with pytest.raises(NotACode, match="scalar multiples"):
+            classify_z4_skew_cyclic(words, _AUT2)
 
 
 class TestMinimumDistance:
