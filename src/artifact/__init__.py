@@ -24,11 +24,11 @@ from .galois import AutomorphismSpec, FieldElem, RingContext, RingElem
 from .mixedcode import (CodeType, MixedMatrix, MixedWord,
                         StandardFormResult, inner_product, parity_check,
                         standard_form, syndrome)
-from .skewcyclic import (ConditionCheck, ModulePair, SkewGenerators,
-                         SpanningSet, ValidationReport, analyse_generators,
-                         derive_cofactors, from_pair, module_mul,
-                         skew_closed, skew_code_cardinality, spanning_set,
-                         theta_shift, to_pair, validate_generators)
+from .skewcyclic import (ConditionCheck, SkewGenerators, SpanningSet,
+                         ValidationReport, analyse_generators,
+                         derive_cofactors, skew_closed,
+                         skew_code_cardinality, spanning_set, theta_shift,
+                         validate_generators)
 from .skewpoly import SkewPoly, right_divides
 from .textio import (emit_gens, emit_matrix, int_poly_str, parse_element,
                      parse_gens, parse_int_poly, parse_matrix, parse_poly)
@@ -40,19 +40,18 @@ __all__ = [
     "Classification", "CodeType", "ConditionCheck", "ContextMismatch",
     "DEFAULT_BUDGET", "DivisionByZero", "DivisorNotUnitLeading",
     "EnumeratedCode", "FieldElem", "FrobeniusIncompatible", "InvalidArgument",
-    "MissingComponent", "MixedMatrix", "MixedWord", "ModulePair",
-    "NotACode", "NotBasicIrreducible", "NotMonic", "NotPrimitive",
-    "NotRightDivisible", "NotUnit", "OrthogonalityCheckFailed",
-    "ParseError", "RingContext", "RingElem", "ShapeMismatch",
-    "SkewGenerators", "SkewPoly", "SpanningSet", "StandardFormResult",
-    "TrivialCode", "ValidationReport", "analyse_generators",
-    "brute_force_dual", "classify_z4_skew_cyclic", "derive_cofactors",
-    "emit_gens", "emit_matrix", "from_pair", "inner_product", "int_poly_str",
-    "is_skew_cyclic", "min_hamming_distance", "module_mul", "parity_check",
+    "MissingComponent", "MixedMatrix", "MixedWord", "NotACode",
+    "NotBasicIrreducible", "NotMonic", "NotPrimitive", "NotRightDivisible",
+    "NotUnit", "OrthogonalityCheckFailed", "ParseError", "RingContext",
+    "RingElem", "ShapeMismatch", "SkewGenerators", "SkewPoly", "SpanningSet",
+    "StandardFormResult", "TrivialCode", "ValidationReport",
+    "analyse_generators", "brute_force_dual", "classify_z4_skew_cyclic",
+    "derive_cofactors", "emit_gens", "emit_matrix", "inner_product",
+    "int_poly_str", "is_skew_cyclic", "min_hamming_distance", "parity_check",
     "parse_element", "parse_gens", "parse_int_poly", "parse_matrix",
     "parse_poly", "right_divides", "skew_closed", "skew_code_cardinality",
-    "span_closure", "spanning_set", "standard_form", "syndrome",
-    "theta_shift", "to_pair", "validate_generators",
+    "span_closure", "spanning_set", "standard_form", "syndrome", "theta_shift",
+    "validate_generators",
 ]
 
 _ORACLE_EXPORTS = frozenset({

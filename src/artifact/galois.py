@@ -50,7 +50,8 @@ from .errors import (ContextMismatch, FrobeniusIncompatible, InvalidArgument,
                      NotBasicIrreducible, NotMonic, NotPrimitive, NotUnit,
                      ShapeMismatch)
 
-__all__ = ["RingContext", "RingElem", "FieldElem", "AutomorphismSpec"]
+__all__ = ["RingContext", "RingElem", "FieldElem", "AutomorphismSpec",
+           "int_poly_str"]
 
 _MAX_DEGREE = 16
 
@@ -66,9 +67,10 @@ def _f2_is_irreducible(p: int, m: int) -> bool:
     return True
 
 
-def _vec_str(coeffs: Sequence[int]) -> str:
+def int_poly_str(coeffs: Sequence[int], atom: str = "x") -> str:
+    """Canonical text of an integer polynomial in ``atom``, ascending."""
     terms = [str(c) if k == 0 else ("" if c == 1 else f"{c}*")
-             + ("w" if k == 1 else f"w^{k}")
+             + (atom if k == 1 else f"{atom}^{k}")
              for k, c in enumerate(coeffs) if c]
     return "+".join(terms) or "0"
 
@@ -121,7 +123,7 @@ class _Elem:
         names = self.ctx._names[self._side]
         s = names.get(self._x)
         if s is None:
-            s = names[self._x] = _vec_str(self.coeffs)
+            s = names[self._x] = int_poly_str(self.coeffs, "w")
         return s
 
     def __repr__(self):

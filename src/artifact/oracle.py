@@ -348,6 +348,8 @@ def span_closure(rows, autom: Optional[AutomorphismSpec] = None,
     ctx, r, s = _row_shape(rows, ctx, r, s)
     if skew and autom is None:
         raise ContextMismatch("skew closure needs an automorphism")
+    if skew and autom.ctx != ctx:
+        raise ContextMismatch("automorphism from a different context")
     codec = _Codec(ctx, r, s)
     span = codec.array([0])
     gens = []

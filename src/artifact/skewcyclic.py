@@ -1,12 +1,12 @@
 """Skew cyclic structure on mixed binary/quaternary words.
 
-A word ``(a_0 .. a_{r-1} | b_0 .. b_{s-1})`` is identified with a pair
-of skew polynomials ``(a(x), b(x))`` in ``F[x;theta] x R[x;theta]``
-taken modulo ``x^r - 1`` and ``x^s - 1``.  The skew cyclic shift
-rotates each side one step and applies the automorphism to every
-entry; multiplication by ``x`` on the pair side matches the shift on
-the word side.  ``skew_closed`` decides whether the span of a matrix
-is closed under the shift from its parity check, without enumerating.
+A word ``(a_0 .. a_{r-1} | b_0 .. b_{s-1})`` reads as a pair of skew
+polynomials ``(a(x), b(x))`` in ``F[x;theta] x R[x;theta]`` taken
+modulo ``x^r - 1`` and ``x^s - 1``.  The skew cyclic shift rotates
+each side one step and applies the automorphism to every entry, which
+is multiplication by ``x`` on both polynomials.  ``skew_closed``
+decides whether the span of a matrix is closed under the shift from
+its parity check, without enumerating.
 
 A code of this kind is described by a generator tuple built from up to
 three template rows::
@@ -22,9 +22,11 @@ the quotients of the divisions the report names, taken from the same
 single pass over the cases, and it raises with the first required
 division that leaves a remainder.  ``analyse_generators`` returns that
 pass whole: the report and the completed tuple together.
-``spanning_set`` lays out the shifts of the template rows whose span
-is the whole code, and ``skew_code_cardinality`` counts the codewords
-from the cofactor degrees alone.
+``spanning_set`` builds each template row from its polynomials,
+reduced modulo ``x^r - 1`` and ``x^s - 1``, and follows it with its
+shifts, the rows ``x^i`` times the template; their span is the whole
+code.  ``skew_code_cardinality`` counts the codewords from the
+cofactor degrees alone.
 
 When ``g + 2a`` does not divide ``x^s - 1`` exactly but ``g`` does,
 the tuple is still accepted: the leftover of the ``g`` row under
@@ -45,49 +47,10 @@ from .mixedcode import (MixedMatrix, MixedWord, parity_check,
 from .skewpoly import SkewPoly
 
 __all__ = [
-    "ModulePair",
-    "SkewGenerators",
-    "ConditionCheck",
-    "ValidationReport",
-    "SpanningSet",
-    "theta_shift",
-    "skew_closed",
-    "to_pair",
-    "from_pair",
-    "module_mul",
-    "analyse_generators",
-    "validate_generators",
-    "derive_cofactors",
-    "spanning_set",
-    "skew_code_cardinality",
+    "SkewGenerators", "ConditionCheck", "ValidationReport", "SpanningSet",
+    "theta_shift", "skew_closed", "analyse_generators", "validate_generators",
+    "derive_cofactors", "spanning_set", "skew_code_cardinality",
 ]
-
-
-@dataclass(frozen=True)
-class ModulePair:
-    """A word in polynomial form: binary part ``a``, quaternary part ``b``."""
-
-    a: SkewPoly
-    b: SkewPoly
-    r: int
-    s: int
-
-    def __post_init__(self):
-        if self.a.ring or not self.b.ring:
-            raise ContextMismatch("pair must be (field poly, ring poly)")
-        if self.a.autom != self.b.autom:
-            raise ContextMismatch("pair components from different skew rings")
-        if self.r < 0 or self.s < 0 or self.r + self.s == 0:
-            raise ShapeMismatch("pair needs positive length")
-        # Store reduced representatives.
-        if self.r and (self.a.degree if self.a.coeffs else -1) >= self.r:
-            object.__setattr__(self, "a", self.a.reduce_mod_xn(self.r))
-        if self.s and (self.b.degree if self.b.coeffs else -1) >= self.s:
-            object.__setattr__(self, "b", self.b.reduce_mod_xn(self.s))
-        if not self.r and self.a.coeffs:
-            raise ShapeMismatch("binary part must be zero when r = 0")
-        if not self.s and self.b.coeffs:
-            raise ShapeMismatch("quaternary part must be zero when s = 0")
 
 
 def theta_shift(w: MixedWord, autom: AutomorphismSpec) -> MixedWord:
@@ -111,6 +74,8 @@ def skew_closed(mat: MixedMatrix, autom: AutomorphismSpec) -> bool:
     each shifted row, moved into the standard form's coordinates, must
     have a zero syndrome against the parity check.
     """
+    if autom.ctx != mat.ctx:
+        raise ContextMismatch("matrix and automorphism contexts differ")
     sf = standard_form(mat)
     h = parity_check(sf)
     for w in mat:
@@ -119,41 +84,6 @@ def skew_closed(mat: MixedMatrix, autom: AutomorphismSpec) -> bool:
                                                    sf.quat_perm))):
             return False
     return True
-
-
-def to_pair(w: MixedWord, autom: AutomorphismSpec) -> ModulePair:
-    """Polynomial form of a word."""
-    if autom.ctx != w.ctx:
-        raise ContextMismatch("word and automorphism contexts differ")
-    return ModulePair(SkewPoly(autom, w.alpha, False),
-                      SkewPoly(autom, w.beta, True), w.r, w.s)
-
-
-def from_pair(p: ModulePair) -> MixedWord:
-    """Coefficient form of a pair, padded to shape ``(r, s)``."""
-    ctx = p.a.autom.ctx
-    alpha = [p.a.coeff(i) for i in range(p.r)]
-    beta = [p.b.coeff(i) for i in range(p.s)]
-    return MixedWord(ctx, alpha, beta)
-
-
-def module_mul(fp: SkewPoly, p: ModulePair) -> ModulePair:
-    """Act by a quaternary skew polynomial on a pair.
-
-    The binary side sees the mod-2 image of ``fp``; both sides are
-    reduced modulo their ``x^n - 1``.
-    """
-    if not fp.ring:
-        raise ContextMismatch("the acting polynomial must be quaternary")
-    if fp.autom != p.a.autom:
-        raise ContextMismatch("polynomial from a different skew ring")
-    a = fp.mod2() * p.a
-    b = fp * p.b
-    if p.r:
-        a = a.reduce_mod_xn(p.r)
-    if p.s:
-        b = b.reduce_mod_xn(p.s)
-    return ModulePair(a, b, p.r, p.s)
 
 
 @dataclass(frozen=True)
@@ -295,8 +225,10 @@ def analyse_generators(gens: SkewGenerators):
     Returns the :class:`ValidationReport`, the tuple completed with
     every cofactor that exists, and the message of the first division
     the case requires that fails (None when all are exact, as in every
-    valid report).  :func:`validate_generators` and
-    :func:`derive_cofactors` each return a part of this one result.
+    valid report).  One reporter records every division check; the
+    ones the case requires carry the message to return.
+    :func:`validate_generators` and :func:`derive_cofactors` each
+    return a part of this one result.
     """
     autom, r, s, case = gens.autom, gens.r, gens.s, gens.case
     checks, notes = [], []
@@ -309,17 +241,13 @@ def analyse_generators(gens: SkewGenerators):
     def check(name, ok, detail="remainder is nonzero", passed=""):
         checks.append(ConditionCheck(name, ok, passed if ok else detail))
 
-    def divides(name, division, detail="remainder is nonzero", passed=""):
-        """Report an `_exact` division; a refused one says why."""
+    def divides(name, division, message=None, detail="remainder is nonzero",
+                passed=""):
+        """Report an `_exact` division; a refused one says why.  A
+        required one carries a `message`: the first to fail is the error."""
+        nonlocal error
         quo, why = division
         check(name, quo is not None, why or detail, passed)
-        return quo
-
-    def require(name, division, message, detail="remainder is nonzero",
-                passed=""):
-        """Report a division the case needs; remember the first failure."""
-        nonlocal error
-        quo = divides(name, division, detail, passed)
         if quo is None and error is None:
             error = message
         return quo
@@ -351,14 +279,14 @@ def analyse_generators(gens: SkewGenerators):
             divides(name, _exact(prod, f))
 
     if r:
-        h_f = require("f |r x^r-1 (mod 2)",
+        h_f = divides("f |r x^r-1 (mod 2)",
                       _exact(SkewPoly.x_pow_minus_one(autom, r, False), f),
                       "f does not right-divide x^r-1 (mod 2)")
     xs1 = SkewPoly.x_pow_minus_one(autom, s, False) if s else None
 
     if case == "i":
         notes.append("the divisibility names l; it is read as l1")
-        h_q = require("q |r x^s-1 (mod 2)", _exact(xs1, gens.q.mod2()),
+        h_q = divides("q |r x^s-1 (mod 2)", _exact(xs1, gens.q.mod2()),
                       "q does not right-divide x^s-1 (mod 2)")
         deg_check("l1", gens.l1, f, "f")
         f_divides("f |r h_q*l1 (mod 2)", times(h_q, gens.l1),
@@ -375,7 +303,7 @@ def analyse_generators(gens: SkewGenerators):
         else:
             # g + 2a leaves a remainder; accept the tuple when g itself
             # divides, materialising the leftover row h_g * (l, g+2a).
-            h_g = require(
+            h_g = divides(
                 "g+2a |r x^s-1, or g |r x^s-1 with a residual (l1, 2q) row",
                 _exact(xs1_ring, gens.g),
                 "neither g+2a nor g right-divides x^s-1",
@@ -391,7 +319,7 @@ def analyse_generators(gens: SkewGenerators):
                     f_divides("f |r h_g*l (mod 2)", l1m or zero)
                 else:
                     materialized, l1, q = True, l1m, qm.lift()
-                    h_q = require(
+                    h_q = divides(
                         "q |r x^s-1 (mod 2), q = h_g*a of the residual row",
                         _exact(xs1, qm), "the residual q = h_g*a does not "
                         "right-divide x^s-1 (mod 2)")
@@ -402,11 +330,11 @@ def analyse_generators(gens: SkewGenerators):
         g_bar, q_bar = gens.g.mod2(), gens.q.mod2()
         a_bar = gens.a.mod2() if gens.a is not None else zero
         divides("q |r g (mod 2)", _exact(g_bar, q_bar))
-        h_g = require("g |r x^s-1 (mod 2)", _exact(xs1, g_bar),
+        h_g = divides("g |r x^s-1 (mod 2)", _exact(xs1, g_bar),
                       "g does not right-divide x^s-1 (mod 2)")
-        h_q = require("q |r x^s-1 (mod 2)", _exact(xs1, q_bar),
+        h_q = divides("q |r x^s-1 (mod 2)", _exact(xs1, q_bar),
                       "q does not right-divide x^s-1 (mod 2)")
-        k = require("q |r h_g*a (mod 2)", (None, None) if h_g is None
+        k = divides("q |r h_g*a (mod 2)", (None, None) if h_g is None
                     else _exact((h_g * a_bar).reduce_mod_xn(s), q_bar),
                     "h_g*a is not a right multiple of q (mod 2)",
                     "no k with k*q = h_g*a")
@@ -475,6 +403,15 @@ def _shift_count(cofactor: Optional[SkewPoly]) -> int:
     return max(int(cofactor.degree), 0)
 
 
+def _padded(p: Optional[SkewPoly], n: int, zero) -> list:
+    """The ``n`` coefficients of ``p`` mod ``x^n - 1``; None reads as 0."""
+    if p is None:
+        return [zero] * n
+    if p.degree >= n:
+        p = p.reduce_mod_xn(n)
+    return list(p.coeffs) + [zero] * (n - len(p.coeffs))
+
+
 def spanning_set(gens: SkewGenerators):
     """Rows spanning the code: shifts of each template generator.
 
@@ -491,28 +428,24 @@ def spanning_set(gens: SkewGenerators):
     autom = gens.autom
     ctx = autom.ctx
     r, s = gens.r, gens.s
+    zero_f, zero_r = ctx.field_zero(), ctx.ring_zero()
 
-    def shifts(pair, count):
-        # Row i is x^i acting on the template pair: the i-th shift.
-        rows = [from_pair(pair)] if count else []
+    def shifts(a, b, cofactor):
+        # Row i is x^i times the template (a, b): the i-th shift.
+        count = _shift_count(cofactor)
+        rows = [MixedWord(ctx, _padded(a, r, zero_f),
+                          _padded(b, s, zero_r))] if count else []
         while len(rows) < count:
             rows.append(theta_shift(rows[-1], autom))
         return tuple(rows)
 
-    zero_f = SkewPoly.zero(autom, False)
-    zero_r = SkewPoly.zero(autom, True)
     s1 = s2 = s3 = ()
     if gens.f is not None:
-        pair = ModulePair(gens.f, zero_r, r, s)
-        s1 = shifts(pair, _shift_count(gens.h_f))
+        s1 = shifts(gens.f, None, gens.h_f)
     if gens.g is not None:
-        pair = ModulePair(gens.l if gens.l is not None else zero_f,
-                          gens.g_plus_2a(), r, s)
-        s2 = shifts(pair, _shift_count(gens.h_g))
+        s2 = shifts(gens.l, gens.g_plus_2a(), gens.h_g)
     if gens.q is not None:
-        pair = ModulePair(gens.l1 if gens.l1 is not None else zero_f,
-                          (2 * gens.q).reduce_mod_xn(s), r, s)
-        s3 = shifts(pair, _shift_count(gens.h_q))
+        s3 = shifts(gens.l1, 2 * gens.q, gens.h_q)
     ss = SpanningSet(s1, s2, s3)
     mat = MixedMatrix(ctx, r, s, ss.rows)
     return ss, mat

@@ -41,7 +41,7 @@ import sys
 from typing import Tuple
 
 from .errors import ParseError
-from .galois import AutomorphismSpec, RingContext
+from .galois import AutomorphismSpec, RingContext, int_poly_str
 from .mixedcode import MixedMatrix, MixedWord
 from .skewcyclic import SkewGenerators
 from .skewpoly import SkewPoly
@@ -253,20 +253,6 @@ def parse_int_poly(text: str, line: int = 0, col: int = 0) -> Tuple[int, ...]:
     """Ascending integer coefficients of a plain polynomial in x."""
     p = _Parser(text, line, col)
     return tuple(_by_power(p, lambda: _monomial(p, "x"), 0))
-
-
-def int_poly_str(coeffs) -> str:
-    """Canonical text of an integer polynomial, ascending powers."""
-    parts = []
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        if k == 0:
-            parts.append(str(c))
-        else:
-            xatom = "x" if k == 1 else f"x^{k}"
-            parts.append(xatom if c == 1 else f"{c}*{xatom}")
-    return "+".join(parts) if parts else "0"
 
 
 _KEY_RE = re.compile(r"^\s*([a-z0-9]+)\s*:\s*(.*?)\s*$")

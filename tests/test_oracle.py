@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact import (AutomorphismSpec, BudgetExceeded, MixedMatrix,
-                      MixedWord, NotACode, RingContext, ShapeMismatch,
-                      SkewPoly, TrivialCode, brute_force_dual,
+from artifact import (AutomorphismSpec, BudgetExceeded, ContextMismatch,
+                      MixedMatrix, MixedWord, NotACode, RingContext,
+                      ShapeMismatch, SkewPoly, TrivialCode, brute_force_dual,
                       classify_z4_skew_cyclic, inner_product, is_skew_cyclic,
                       min_hamming_distance, parity_check, skew_closed,
                       span_closure, standard_form, syndrome, theta_shift)
@@ -520,6 +520,16 @@ class TestSkewCyclicPredicate:
         row = MixedWord.from_ints(ctx2, [1, 1], [2, 0])
         code = span_closure([row], autom=autom2, skew=True)
         assert is_skew_cyclic(code, autom2)
+
+    def test_foreign_automorphism_refused_by_skew_closure(self, ctx2,
+                                                          autom2):
+        # Under the m = 3 automorphism with t = 2 the shift would read
+        # the m = 2 tables at t % 2 = 0, an untwisted rotation.
+        row = MixedWord(ctx2, [], [ctx2.ring((1,)), ctx2.ring((0, 1)),
+                                   ctx2.ring_zero()])
+        assert len(span_closure([row], autom=autom2, skew=True)) == 4096
+        with pytest.raises(ContextMismatch):
+            span_closure([row], autom=AutomorphismSpec(_CTX3, 2), skew=True)
 
     @pytest.mark.parametrize("t", [1, 2])
     def test_wide_words_agree_with_shift_membership(self, ctx3, t):

@@ -1,12 +1,15 @@
 """The package namespace: oracle exports resolve lazily, names stay put."""
 
+import importlib
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
 import artifact
-from artifact import cli, errors, oracle
+from artifact import (cli, errors, galois, mixedcode, oracle, skewcyclic,
+                      skewpoly, textio)
 
 
 @pytest.mark.parametrize("name", artifact.__all__)
@@ -19,6 +22,25 @@ def test_oracle_exports_are_the_oracle_objects():
     for name in artifact._ORACLE_EXPORTS:
         assert getattr(artifact, name) is getattr(oracle, name)
     assert artifact._ORACLE_EXPORTS <= set(artifact.__all__)
+
+
+def test_exports_agree_across_modules():
+    # A name deleted from a module but left in an __all__ fails here.
+    modules = [artifact] + [
+        importlib.import_module(f"artifact.{info.name}")
+        for info in pkgutil.iter_modules(artifact.__path__)]
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ())
+                   if not hasattr(module, name)]
+        assert not missing, module.__name__
+    error_classes = {name for name, obj in vars(errors).items()
+                     if isinstance(obj, type)
+                     and issubclass(obj, errors.ArtifactError)}
+    union = set(error_classes).union(*(
+        m.__all__ for m in (galois, mixedcode, skewcyclic, skewpoly, textio,
+                            oracle)))
+    assert set(artifact.__all__) == union
+    assert artifact._ORACLE_EXPORTS == set(oracle.__all__) - {"DEFAULT_BUDGET"}
 
 
 def test_star_import_binds_every_export():

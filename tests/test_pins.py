@@ -31,7 +31,7 @@ from artifact import (AutomorphismSpec, MixedMatrix, MixedWord,
                       parse_poly, skew_code_cardinality, spanning_set,
                       standard_form, validate_generators)
 from artifact.cli import main
-from artifact.galois import _vec_str
+from artifact.galois import int_poly_str
 from artifact.reference import (gens_four_four, gens_seven_seven,
                                 worked_matrix)
 from artifact.textio import emit_gens, emit_matrix
@@ -94,13 +94,14 @@ def test_verify_paper_stdout_as_before():
 
 def test_str_no_slower_than_formatting_coefficients(ctx2):
     elems = list(ctx2.all_ring_elems()) * 64
-    assert [str(e) for e in elems] == [_vec_str(e.coeffs) for e in elems]
+    assert [str(e) for e in elems] == [int_poly_str(e.coeffs, "w")
+                                       for e in elems]
 
     def best(fn):
         return min(timeit.repeat(fn, number=1, repeat=7))
 
     assert best(lambda: [str(e) for e in elems]) <= \
-        best(lambda: [_vec_str(e.coeffs) for e in elems])
+        best(lambda: [int_poly_str(e.coeffs, "w") for e in elems])
 
 
 # Generator tuples and matrices, drawn from seeded generators.  The

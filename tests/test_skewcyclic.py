@@ -1,14 +1,48 @@
 """Skew cyclic generator tuples, cofactors and spanning sets."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from artifact import (ContextMismatch, MissingComponent, MixedWord,
-                      ModulePair, NotRightDivisible, ShapeMismatch,
-                      SkewGenerators, SkewPoly, derive_cofactors,
-                      from_pair, module_mul, skew_code_cardinality,
-                      spanning_set, theta_shift, to_pair,
-                      validate_generators)
+from artifact import (AutomorphismSpec, ContextMismatch, MissingComponent,
+                      MixedMatrix, MixedWord, NotRightDivisible, RingContext,
+                      ShapeMismatch, SkewGenerators, SkewPoly,
+                      derive_cofactors, skew_closed, skew_code_cardinality,
+                      spanning_set, theta_shift, validate_generators)
 from artifact.reference import gens_four_four, gens_seven_seven
+
+_CTXS = {1: RingContext(1, (1, 1)), 2: RingContext(2, (1, 1, 1)),
+         3: RingContext(3, (3, 1, 2, 1))}
+
+
+def word_of(a, b, r, s):
+    """The word of ``(a mod x^r-1, b mod x^s-1)``, padded to ``(r, s)``."""
+    if r:
+        a = a.reduce_mod_xn(r)
+    if s:
+        b = b.reduce_mod_xn(s)
+    return MixedWord(b.autom.ctx, [a.coeff(i) for i in range(r)],
+                     [b.coeff(i) for i in range(s)])
+
+
+def x_times(i, a, b, r, s):
+    """The word of ``x^i * (a, b)``, from skew polynomial products."""
+    autom = b.autom
+    return word_of(SkewPoly.x_power(autom, i, False) * a,
+                   SkewPoly.x_power(autom, i, True) * b, r, s)
+
+
+@st.composite
+def words_and_automs(draw):
+    ctx = _CTXS[draw(st.sampled_from([1, 2, 3]))]
+    autom = AutomorphismSpec(ctx, draw(st.sampled_from([1, 2])))
+    r = draw(st.integers(0, 5))
+    s = draw(st.integers(0 if r else 1, 5))
+    alpha = [ctx.field_from_index(draw(st.integers(0, (1 << ctx.m) - 1)))
+             for _ in range(r)]
+    beta = [ctx.ring_from_index(draw(st.integers(0, (1 << 2 * ctx.m) - 1)))
+            for _ in range(s)]
+    return MixedWord(ctx, alpha, beta), autom
 
 
 class TestShift:
@@ -32,40 +66,18 @@ class TestShift:
             out = theta_shift(out, autom2)
         assert out == w
 
-    def test_x_action_is_the_shift(self, ctx2, autom2):
-        w = MixedWord(ctx2,
-                      [ctx2.field((0, 1)), ctx2.field_zero()],
-                      [ctx2.ring((1, 2)), ctx2.ring_zero(),
-                       ctx2.ring((3,))])
-        x = SkewPoly.x_power(autom2, 1)
-        acted = from_pair(module_mul(x, to_pair(w, autom2)))
-        assert acted == theta_shift(w, autom2)
+    @given(words_and_automs())
+    def test_x_action_is_the_shift(self, case):
+        # x * (a(x), b(x)), reduced mod x^r-1 and x^s-1, is the shift.
+        w, autom = case
+        a = SkewPoly(autom, w.alpha, False)
+        b = SkewPoly(autom, w.beta, True)
+        assert theta_shift(w, autom) == x_times(1, a, b, w.r, w.s)
 
-
-class TestModuleStructure:
-    def test_pair_round_trip(self, ctx2, autom2):
-        w = MixedWord.from_ints(ctx2, [1, 0, 1], [0, 3, 0, 2])
-        assert from_pair(to_pair(w, autom2)) == w
-
-    def test_action_is_associative(self, autom2):
-        p = ModulePair(SkewPoly.from_ints(autom2, [1, 1], False),
-                       SkewPoly.from_ints(autom2, [1, 0, 3], True), 3, 4)
-        f = SkewPoly.from_ints(autom2, [0, 1, 2], True)
-        g = SkewPoly.from_ints(autom2, [3, 1], True)
-        lhs = module_mul(f * g, p)
-        rhs = module_mul(f, module_mul(g, p))
-        assert from_pair(lhs) == from_pair(rhs)
-
-    def test_action_needs_quaternary_polynomial(self, autom2):
-        p = ModulePair(SkewPoly.from_ints(autom2, [1], False),
-                       SkewPoly.from_ints(autom2, [1], True), 1, 1)
+    def test_foreign_automorphism_refused_by_skew_closed(self, ctx2):
+        foreign = AutomorphismSpec(_CTXS[3], 1)
         with pytest.raises(ContextMismatch):
-            module_mul(SkewPoly.from_ints(autom2, [1], False), p)
-
-    def test_projection_keeps_quaternary_side(self, autom2):
-        p = ModulePair(SkewPoly.from_ints(autom2, [1, 1], False),
-                       SkewPoly.from_ints(autom2, [0, 2], True), 2, 2)
-        assert p.b == SkewPoly.from_ints(autom2, [0, 2], True)
+            skew_closed(MixedMatrix(ctx2, 1, 2, []), foreign)
 
 
 class TestGeneratorTuples:
@@ -193,12 +205,20 @@ class TestSpanningSet:
         assert mat.r == 7 and mat.s == 7
 
     def test_first_rows_are_the_generators(self, autom2):
-        gens = gens_seven_seven()
-        ss, _ = spanning_set(derive_cofactors(gens))
-        assert ss.s1[0] == from_pair(ModulePair(
-            gens.f, SkewPoly.zero(autom2, True), 7, 7))
-        assert ss.s2[0] == from_pair(ModulePair(
-            gens.l, gens.g_plus_2a(), 7, 7))
+        # Row i of each block is x^i times its template, multiplied out
+        # with skew polynomials rather than shifted.
+        zero_f = SkewPoly.zero(autom2, False)
+        for gens in (gens_seven_seven(), gens_four_four()):
+            full = derive_cofactors(gens)
+            ss, _ = spanning_set(full)
+            templates = [
+                (full.f, SkewPoly.zero(autom2, True)),
+                (full.l if full.l is not None else zero_f, full.g_plus_2a()),
+                (full.l1 if full.l1 is not None else zero_f, 2 * full.q)]
+            for block, (a, b) in zip((ss.s1, ss.s2, ss.s3), templates):
+                assert block
+                for i, row in enumerate(block):
+                    assert row == x_times(i, a, b, full.r, full.s)
 
     def test_later_rows_are_shifts(self, autom2):
         ss, _ = spanning_set(derive_cofactors(gens_seven_seven()))
