@@ -75,8 +75,7 @@ def _span(args, t=1):
     from .oracle import span_closure
     ctx, mat = parse_matrix(_read(args.path))
     autom = AutomorphismSpec(ctx, t)
-    return span_closure(list(mat.rows), budget=args.budget, ctx=ctx,
-                        r=mat.r, s=mat.s), autom
+    return span_closure(mat, budget=args.budget), autom
 
 
 def _cmd_ctx_info(args):
@@ -181,7 +180,7 @@ def _cmd_is_skew_cyclic(args):
 def _cmd_classify_z4(args):
     from .oracle import classify_z4_skew_cyclic
     span, autom = _span(args, args.t)
-    cls = classify_z4_skew_cyclic(span, autom, budget=args.budget)
+    cls = classify_z4_skew_cyclic(span, autom)
     return _report([("case", "case", cls.case)]
                    + _poly_facts(cls, ("g", "a", "q")))
 

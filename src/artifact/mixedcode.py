@@ -189,7 +189,8 @@ class MixedMatrix:
     @classmethod
     def from_rows(cls, rows: Sequence[MixedWord]) -> "MixedMatrix":
         if not rows:
-            raise ShapeMismatch("cannot infer shape from zero rows")
+            raise ShapeMismatch("cannot infer shape from zero rows; "
+                                "an empty MixedMatrix(ctx, r, s) carries it")
         return cls(rows[0].ctx, rows[0].r, rows[0].s, rows)
 
     def __iter__(self):

@@ -183,8 +183,7 @@ class _Codec:
         go through in blocks so that the temporaries stay in cache.
         """
         placed = [t << d for t, d in zip(tables, dest)]
-        trailing = tables[0].shape[1:] if tables else ()
-        out = np.zeros(arr.shape + trailing, dtype=self.dtype)
+        out = np.zeros(arr.shape + tables[0].shape[1:], dtype=self.dtype)
         col = np.empty(min(len(arr), _BLOCK), dtype=np.intp)
         for lo in range(0, len(arr), _BLOCK):
             part, acc = arr[lo:lo + _BLOCK], out[lo:lo + _BLOCK]
@@ -202,6 +201,8 @@ class _Codec:
 
     def shift(self, arr: np.ndarray, autom: AutomorphismSpec) -> np.ndarray:
         """The skew shift of every word: rotate each block, twist entries."""
+        if autom.ctx != self.ctx:
+            raise ContextMismatch("automorphism from a different context")
         k = autom.t % self.ctx.m
         tables = self.per_coord(self.tables["ring_frob"][k],
                                 self.tables["field_frob"][k])
@@ -254,24 +255,11 @@ class EnumeratedCode:
                                    other.codec.array(other.packed)))
 
 
-def _as_rows(rows) -> list:
+def _as_matrix(rows) -> MixedMatrix:
+    """A matrix unchanged, a nonempty word list as a matrix."""
     if isinstance(rows, MixedMatrix):
-        return list(rows.rows)
-    return list(rows)
-
-
-def _row_shape(rows, ctx=None, r=None, s=None):
-    if rows:
-        w = rows[0]
-        ctx, r, s = w.ctx, w.r, w.s
-    if ctx is None or r is None or s is None:
-        raise ShapeMismatch("shape must be given when there are no rows")
-    for w in rows:
-        if w.ctx != ctx:
-            raise ContextMismatch("rows from different contexts")
-        if (w.r, w.s) != (r, s):
-            raise ShapeMismatch("rows of mixed shapes")
-    return ctx, r, s
+        return rows
+    return MixedMatrix.from_rows(list(rows))
 
 
 def _isin(span: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -327,11 +315,13 @@ def _span_generators(codec: _Codec, words: np.ndarray,
 
 
 def span_closure(rows, autom: Optional[AutomorphismSpec] = None,
-                 skew: bool = False, budget: int = DEFAULT_BUDGET,
-                 ctx: Optional[RingContext] = None,
-                 r: Optional[int] = None,
-                 s: Optional[int] = None) -> EnumeratedCode:
+                 skew: bool = False,
+                 budget: int = DEFAULT_BUDGET) -> EnumeratedCode:
     """Enumerate the module span of some rows, optionally shift-closed.
+
+    ``rows`` is a :class:`MixedMatrix`, which carries the code's shape
+    even with no rows (its span is the zero code), or a nonempty
+    sequence of words, such as an :class:`EnumeratedCode`.
 
     With ``skew=True`` (requires ``autom``) the skew shift of every
     processed row joins the worklist unless the span already holds it,
@@ -344,16 +334,13 @@ def span_closure(rows, autom: Optional[AutomorphismSpec] = None,
     BudgetExceeded
         Before allocating a span of more than ``budget`` words.
     """
-    rows = _as_rows(rows)
-    ctx, r, s = _row_shape(rows, ctx, r, s)
+    mat = _as_matrix(rows)
     if skew and autom is None:
         raise ContextMismatch("skew closure needs an automorphism")
-    if skew and autom.ctx != ctx:
-        raise ContextMismatch("automorphism from a different context")
-    codec = _Codec(ctx, r, s)
+    codec = _Codec(mat.ctx, mat.r, mat.s)
     span = codec.array([0])
     gens = []
-    work = deque(codec.array([codec.encode(w) for w in rows]))
+    work = deque(codec.array([codec.encode(w) for w in mat]))
     while work:
         row = work.popleft()
         grown = _grow(codec, span, row, budget)
@@ -430,8 +417,7 @@ def brute_force_dual(code, budget: int = DEFAULT_BUDGET) -> EnumeratedCode:
     high = np.arange(1 << (codec.bits - split), dtype=np.uint64)
     words = np.concatenate([np.arange(n_low, dtype=np.uint64),
                             high << np.uint64(split)])
-    # Words of no coordinates (r = s = 0) map without a generator axis.
-    keys = codec.map(words, tables, codec.zeros).reshape(len(words), -1)
+    keys = codec.map(words, tables, codec.zeros)
     keys &= mod4
     # -a mod 4 per lane keeps the low bit and xors it into the high one.
     keys[n_low:] ^= (keys[n_low:] & np.uint64(ones)) << np.uint64(1)
@@ -460,10 +446,9 @@ def brute_force_dual(code, budget: int = DEFAULT_BUDGET) -> EnumeratedCode:
 def _ensure_enumerated(code) -> EnumeratedCode:
     if isinstance(code, EnumeratedCode):
         return code
-    rows = _as_rows(code)
-    ctx, r, s = _row_shape(rows)
-    codec = _Codec(ctx, r, s)
-    keys = np.unique(codec.array([codec.encode(w) for w in rows]))
+    mat = _as_matrix(code)
+    codec = _Codec(mat.ctx, mat.r, mat.s)
+    keys = np.unique(codec.array([codec.encode(w) for w in mat]))
     return EnumeratedCode(codec, codec.store(keys), None)
 
 
@@ -475,8 +460,6 @@ def is_skew_cyclic(code, autom: AutomorphismSpec) -> bool:
     """
     code = _ensure_enumerated(code)
     codec = code.codec
-    if autom.ctx != codec.ctx:
-        raise ContextMismatch("automorphism from a different context")
     arr = codec.array(code.packed)
     shifted = codec.shift(arr, autom)
     shifted.sort()
@@ -493,8 +476,7 @@ class Classification:
     q: Optional[SkewPoly] = None
 
 
-def classify_z4_skew_cyclic(code, autom: AutomorphismSpec,
-                            budget: int = DEFAULT_BUDGET) -> Classification:
+def classify_z4_skew_cyclic(code, autom: AutomorphismSpec) -> Classification:
     """Recognise a purely quaternary skew cyclic code by generators.
 
     The input must be an enumerated set of words with ``r = 0``.  The
@@ -510,7 +492,10 @@ def classify_z4_skew_cyclic(code, autom: AutomorphismSpec,
     the one whose coefficients, read from ``x^0`` upward, come first.
     In a module these are exactly the words normalised by their leading
     unit, so only the one or two chosen words are decoded.  The
-    witnesses are verified to regenerate the input exactly.
+    witnesses are verified to regenerate the input exactly.  They are
+    words of the input, so a code holds their skew closure: the
+    regeneration stops, and the set is no code, once it would outgrow
+    the input.
 
     Raises
     ------
@@ -519,23 +504,21 @@ def classify_z4_skew_cyclic(code, autom: AutomorphismSpec,
         words of the least degree but no monic one among them, say), or
         the witnesses do not regenerate it.
     TrivialCode
-        For the zero code, which fits every case at once.
+        For a set with no nonzero word, such as the zero code or an
+        empty matrix: the zero code fits every case at once.
     """
     code = _ensure_enumerated(code)
     codec = code.codec
     if codec.r != 0:
         raise ShapeMismatch("classification applies to quaternary codes only")
-    if autom.ctx != codec.ctx:
-        raise ContextMismatch("automorphism from a different context")
     ctx, s = codec.ctx, codec.s
 
     arr = codec.array(code.packed)
-    if len(arr) == 1 and arr[0] == 0:
+    # Sorted: a nonzero word would come last, zero would come first.
+    if not len(arr) or arr[-1] == 0:
         raise TrivialCode("the zero code has no canonical generator")
-    if len(arr) == 0 or arr[0] != 0:  # sorted: zero would come first
+    if arr[0] != 0:
         raise NotACode("a code must contain the zero word")
-    if not is_skew_cyclic(code, autom):
-        raise NotACode("the set is not closed under the skew shift")
 
     # Per nonzero word: its degree (highest nonzero coordinate), whether
     # its leading coefficient is a unit (has an odd coefficient), and
@@ -600,9 +583,16 @@ def classify_z4_skew_cyclic(code, autom: AutomorphismSpec,
         q = SkewPoly(autom, [c.halve() for c in half], False).lift()
         witness_rows.append(as_word((2 * q).reduce_mod_xn(s)))
 
-    regen = span_closure(witness_rows, autom=autom, skew=True, budget=budget,
-                         ctx=ctx, r=0, s=s)
+    try:
+        regen = span_closure(witness_rows, autom=autom, skew=True,
+                             budget=len(arr))
+    except BudgetExceeded:
+        regen = None
     if not regen == code:
+        # A code equals the skew closure of its witnesses, so only a
+        # failed regeneration needs the shift check to name the fault.
+        if not is_skew_cyclic(code, autom):
+            raise NotACode("the set is not closed under the skew shift")
         raise NotACode("classification witnesses do not regenerate the set")
     return Classification(case, g=g, a=a, q=q)
 

@@ -148,8 +148,8 @@ def checks():
 
     def brute_dual():
         from .oracle import brute_force_dual, span_closure
-        found = brute_force_dual(span_closure(list(sf().g_std.rows)))
-        return len(found), found == span_closure(list(dual().rows))
+        found = brute_force_dual(span_closure(sf().g_std))
+        return len(found), found == span_closure(dual())
 
     def validate(gens):
         rep = validate_generators(gens())

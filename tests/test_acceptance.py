@@ -401,9 +401,8 @@ class TestPropertySuite:
             mat = MixedMatrix(ctx, r, s, rows)
             sf = standard_form(mat)
             permuted = mat.permute_columns(sf.bin_perm, sf.quat_perm)
-            span_std = span_closure(list(sf.g_std.rows), ctx=ctx, r=r, s=s)
-            assert span_std == span_closure(list(permuted.rows),
-                                            ctx=ctx, r=r, s=s)
+            span_std = span_closure(sf.g_std)
+            assert span_std == span_closure(permuted)
             assert len(span_std) == sf.code_type.cardinality(ctx.m)
             again = standard_form(sf.g_std)
             assert again.g_std == sf.g_std
@@ -431,7 +430,7 @@ class TestPropertySuite:
                 for h_row in h:
                     assert inner_product(g_row, h_row) == zero
             code = span_closure(list(permuted.rows))
-            dual = span_closure(list(h.rows), ctx=ctx, r=r, s=s)
+            dual = span_closure(h)
             assert len(code) * len(dual) == 1 << (ctx.m * (r + 2 * s))
             assert dual == brute_force_dual(code)
             done += 1

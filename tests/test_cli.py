@@ -316,6 +316,20 @@ def test_classify_rejects_open_set(tmp_path):
     assert "NotACode" in res.stderr
 
 
+@pytest.mark.parametrize("command, status, out, err", [
+    ("enumerate", 0, "count: 1\n", ""),
+    ("is-skew-cyclic", 0, "skew cyclic: yes\n", ""),
+    ("classify-z4", 1, "",
+     "TrivialCode: the zero code has no canonical generator\n"),
+])
+def test_matrix_without_rows_is_the_zero_code(tmp_path, capsys, command,
+                                               status, out, err):
+    path = tmp_path / "zero.mat"
+    path.write_text("m: 2\nh: 1+x+x^2\nr: 0\ns: 2\nrows:\n")
+    assert cli.main([command, str(path)]) == status
+    assert capsys.readouterr() == (out, err)
+
+
 def test_matrix_parse_error_exit_code(tmp_path):
     path = tmp_path / "bad.mat"
     path.write_text("m: 2\nh: 1+x+x^2\nr: 1\ns: 1\nrows:\n1 | w^\n")

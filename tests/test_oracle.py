@@ -94,7 +94,7 @@ def naive_classify(code, autom):
                                         for c in h.coeffs)).lift()
     if q is not None:
         rows.append(as_word((2 * q).reduce_mod_xn(s)))
-    regen = span_closure(rows, autom=autom, skew=True, ctx=ctx, r=0, s=s)
+    regen = span_closure(MixedMatrix(ctx, 0, s, rows), autom=autom, skew=True)
     return case, g, a, q, regen == code
 
 
@@ -233,9 +233,11 @@ class TestSpanClosure:
             assert w in big
 
     def test_zero_rows_span_the_zero_code(self, ctx2):
-        code = span_closure([], ctx=ctx2, r=1, s=1)
+        code = span_closure(MixedMatrix(ctx2, 1, 1))
         assert len(code) == 1
         assert MixedWord.from_ints(ctx2, [0], [0]) in code
+        with pytest.raises(ShapeMismatch, match="empty MixedMatrix"):
+            span_closure([])
 
     def test_skew_closure_adds_shift_orbits(self, ctx2, autom2):
         row = MixedWord.from_ints(ctx2, [], [1, 0, 1, 0])
@@ -395,8 +397,7 @@ class TestBruteForceDual:
         sf = standard_form(mat)
         permuted = mat.permute_columns(sf.bin_perm, sf.quat_perm)
         code = span_closure(list(permuted.rows))
-        dual = span_closure(list(parity_check(sf).rows), ctx=_CTX3,
-                            r=mat.r, s=mat.s)
+        dual = span_closure(parity_check(sf))
         assert brute_force_dual(code) == dual
 
     def test_wide_words_exceed_any_budget(self, ctx3):
@@ -471,14 +472,11 @@ class TestDualWitnesses:
         assert multiples == [int(g) for g in gens]
 
     def test_zero_code_has_the_ambient_dual(self, ctx2):
-        code = span_closure([], ctx=ctx2, r=1, s=2)
-        dual = brute_force_dual(code)
+        empty = MixedMatrix(ctx2, 1, 2)
+        dual = brute_force_dual(span_closure(empty))
         assert len(dual) == 1 << 10
-        assert [int(v) for v in dual.packed] == naive_dual(code, ctx2, 1, 2)
-
-    def test_empty_shape_has_the_one_word_dual(self, ctx2):
-        code = span_closure([], ctx=ctx2, r=0, s=0)
-        assert [int(v) for v in brute_force_dual(code).packed] == [0]
+        assert [int(v) for v in dual.packed] == naive_dual(empty, ctx2, 1, 2)
+        assert brute_force_dual(empty) == dual
 
     @settings(max_examples=15)
     @given(st.data(), st.sampled_from([_CTX1, _CTX2]))
@@ -521,15 +519,26 @@ class TestSkewCyclicPredicate:
         code = span_closure([row], autom=autom2, skew=True)
         assert is_skew_cyclic(code, autom2)
 
+    def test_zero_code_from_an_empty_matrix(self, ctx2, autom2):
+        empty = MixedMatrix(ctx2, 1, 2)
+        assert is_skew_cyclic(empty, autom2) is True
+        assert is_skew_cyclic(span_closure(empty), autom2) is True
+
+    @pytest.mark.parametrize("check", [
+        lambda rows, autom: span_closure(rows, autom=autom, skew=True),
+        lambda rows, autom: is_skew_cyclic(rows, autom),
+        lambda rows, autom: classify_z4_skew_cyclic(
+            span_closure(rows, autom=_AUT2, skew=True), autom),
+    ], ids=["span_closure", "is_skew_cyclic", "classify_z4_skew_cyclic"])
     def test_foreign_automorphism_refused_by_skew_closure(self, ctx2,
-                                                          autom2):
+                                                          autom2, check):
         # Under the m = 3 automorphism with t = 2 the shift would read
         # the m = 2 tables at t % 2 = 0, an untwisted rotation.
         row = MixedWord(ctx2, [], [ctx2.ring((1,)), ctx2.ring((0, 1)),
                                    ctx2.ring_zero()])
         assert len(span_closure([row], autom=autom2, skew=True)) == 4096
         with pytest.raises(ContextMismatch):
-            span_closure([row], autom=AutomorphismSpec(_CTX3, 2), skew=True)
+            check([row], AutomorphismSpec(_CTX3, 2))
 
     @pytest.mark.parametrize("t", [1, 2])
     def test_wide_words_agree_with_shift_membership(self, ctx3, t):
@@ -660,6 +669,19 @@ class TestClassifier:
         with pytest.raises(NotACode):
             classify_z4_skew_cyclic(span_closure(rows), autom2)
 
+    def test_non_code_is_named_by_its_open_shift(self, ctx2, autom2):
+        rows = [MixedWord.from_ints(ctx2, [], [1, 0, 1, 0]),
+                MixedWord.from_ints(ctx2, [], [0, 2, 0, 2])]
+        with pytest.raises(NotACode, match="skew shift"):
+            classify_z4_skew_cyclic(span_closure(rows), autom2)
+
+    def test_open_set_is_refused_within_its_own_size(self, ctx2, autom2):
+        # The skew closure of (1, 0, ..., 0) is all 2^28 words, past the
+        # default budget; the regeneration stops at the set's 2 words.
+        rows = [MixedWord.from_ints(ctx2, [], [c] + [0] * 6) for c in (0, 1)]
+        with pytest.raises(NotACode, match="skew shift"):
+            classify_z4_skew_cyclic(rows, autom2)
+
     def test_binary_block_rejected(self, ctx2, autom2):
         code = span_closure([MixedWord.from_ints(ctx2, [1], [2])])
         with pytest.raises(ShapeMismatch):
@@ -675,9 +697,10 @@ class TestClassifier:
             classify_z4_skew_cyclic(rows, autom1)
 
     def test_zero_code_is_trivial(self, ctx2, autom2):
-        code = span_closure([], ctx=ctx2, r=0, s=2)
-        with pytest.raises(TrivialCode):
-            classify_z4_skew_cyclic(code, autom2)
+        empty = MixedMatrix(ctx2, 0, 2)
+        for code in (empty, span_closure(empty)):
+            with pytest.raises(TrivialCode):
+                classify_z4_skew_cyclic(code, autom2)
 
     def test_witnesses_regenerate(self, ctx2, autom2):
         rows = [MixedWord.from_ints(ctx2, [], [3, 2, 1, 0])]
@@ -803,9 +826,10 @@ class TestMinimumDistance:
         assert min_hamming_distance(code) == best
 
     def test_zero_code_raises(self, ctx2):
-        code = span_closure([], ctx=ctx2, r=1, s=1)
-        with pytest.raises(TrivialCode):
-            min_hamming_distance(code)
+        empty = MixedMatrix(ctx2, 1, 1)
+        for code in (empty, span_closure(empty)):
+            with pytest.raises(TrivialCode):
+                min_hamming_distance(code)
 
     def test_single_word_on_both_layouts(self, ctx2, ctx3):
         narrow = MixedWord.from_ints(ctx2, [1], [1])
