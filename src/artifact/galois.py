@@ -20,6 +20,12 @@ so with the field's log/antilog tables every operation is O(1)::
     (a, b) + (c, d) = (a + c, b + d + sqrt(ac))
     (a, b)^-1 = (1/a, b/a^2)            phi^j (a, b) = (a^(2^j), b^(2^j))
 
+Each formula is written once, as a kernel on packed ints: ``_add``,
+``_neg`` and ``_mul`` of :class:`RingElem` and :class:`FieldElem` and
+the shared ``_frob``.  The element operators call them, and so do the
+loops of :mod:`~artifact.skewpoly` and ``mixedcode.inner_product``,
+which wrap their results with ``_of``, skipping the constructor checks.
+
 The tables hold O(2^m) entries, filled by one walk over the powers of
 ``xi`` in plain Z4 coefficient arithmetic; coefficient vectors appear
 only where an element is built from or shown as one.  The degree ``m``
@@ -90,20 +96,58 @@ class _Elem:
     def __setattr__(self, name, value):
         raise AttributeError("elements are immutable")
 
+    @classmethod
+    def _of(cls, ctx, x):
+        """The element of packed ``x`` from ``ctx``'s own tables, unchecked."""
+        return _make(cls, ctx, x)
+
+    @staticmethod
+    def _frob(ctx, x, j):
+        """``phi^j`` of packed ``x``, ring or field: both halves ^ 2^j."""
+        n, log, exp = ctx._n, ctx._log, ctx._exp
+        a, b = x & n, x >> ctx.m  # b is 0 for a field element
+        return (exp[(log[a] << j) % n] if a else 0) \
+            | (exp[(log[b] << j) % n] if b else 0) << ctx.m
+
     def _operand(self, other):
         """Packed int of ``other`` in this context, or None."""
-        if isinstance(other, int):
-            return self._const(self.ctx, other)
         if isinstance(other, type(self)):
             if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ContextMismatch("operands from different contexts")
             return other._x
+        if isinstance(other, int):
+            return self._const(self.ctx, other)
         return None
 
-    def __rsub__(self, other):
+    def __add__(self, other):
         y = self._operand(other)
-        return NotImplemented if y is None \
-            else _make(type(self), self.ctx, y) - self
+        if y is None:
+            return NotImplemented
+        return _make(type(self), self.ctx, self._add(self.ctx, self._x, y))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _make(type(self), self.ctx, self._neg(self.ctx, self._x))
+
+    def __sub__(self, other):
+        y = self._operand(other)
+        if y is None:
+            return NotImplemented
+        ctx = self.ctx
+        return _make(type(self), ctx,
+                     self._add(ctx, self._x, self._neg(ctx, y)))
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        y = self._operand(other)
+        if y is None:
+            return NotImplemented
+        return _make(type(self), self.ctx, self._mul(self.ctx, self._x, y))
+
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -155,43 +199,27 @@ class RingElem(_Elem):
     def _const(ctx, c):
         return (c & 1) | ((c >> 1) & 1) << ctx.m
 
+    @staticmethod
+    def _add(ctx, x, y):
+        log, n = ctx._log, ctx._n
+        return x ^ y ^ ctx._root[log[x & n] + log[y & n]]
+
+    @staticmethod
+    def _neg(ctx, x):
+        return x ^ (x & ctx._n) << ctx.m
+
+    @staticmethod
+    def _mul(ctx, x, y):
+        m, n, log, exp = ctx.m, ctx._n, ctx._log, ctx._exp
+        la, lc = log[x & n], log[y & n]
+        return exp[la + lc] | (
+            exp[la + log[y >> m]] ^ exp[log[x >> m] + lc]) << m
+
     @property
     def coeffs(self) -> tuple:
         """Ascending coefficients in ``{0, 1, 2, 3}``."""
         idx = self.ctx._index(self._x)
         return tuple((idx >> (2 * i)) & 3 for i in range(self.ctx.m))
-
-    def __add__(self, other):
-        y = self._operand(other)
-        if y is None:
-            return NotImplemented
-        ctx, x = self.ctx, self._x
-        log, n = ctx._log, ctx._n
-        return _make(RingElem, ctx, x ^ y ^ ctx._root[log[x & n] + log[y & n]])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        x = self._x
-        return _make(RingElem, self.ctx, x ^ (x & self.ctx._n) << self.ctx.m)
-
-    def __sub__(self, other):
-        y = self._operand(other)
-        if y is None:
-            return NotImplemented
-        return self + -_make(RingElem, self.ctx, y)
-
-    def __mul__(self, other):
-        y = self._operand(other)
-        if y is None:
-            return NotImplemented
-        ctx, x = self.ctx, self._x
-        m, log, exp = ctx.m, ctx._log, ctx._exp
-        la, lc = log[x & ctx._n], log[y & ctx._n]
-        return _make(RingElem, ctx, exp[la + lc] | (
-            exp[la + log[y >> m]] ^ exp[log[x >> m] + lc]) << m)
-
-    __rmul__ = __mul__
 
     def is_unit(self) -> bool:
         """True when the element is invertible, i.e. nonzero mod 2."""
@@ -244,30 +272,23 @@ class FieldElem(_Elem):
     def _const(ctx, c):
         return c & 1
 
+    @staticmethod
+    def _add(ctx, x, y):
+        return x ^ y
+
+    @staticmethod
+    def _neg(ctx, x):
+        return x
+
+    @staticmethod
+    def _mul(ctx, x, y):
+        log = ctx._log
+        return ctx._exp[log[x] + log[y]]
+
     @property
     def coeffs(self) -> tuple:
         """Ascending coefficients in ``{0, 1}``."""
         return tuple((self._x >> i) & 1 for i in range(self.ctx.m))
-
-    def __add__(self, other):
-        y = self._operand(other)
-        if y is None:
-            return NotImplemented
-        return _make(FieldElem, self.ctx, self._x ^ y)
-
-    __radd__ = __sub__ = __add__
-
-    def __neg__(self):
-        return self
-
-    def __mul__(self, other):
-        y = self._operand(other)
-        if y is None:
-            return NotImplemented
-        log = self.ctx._log
-        return _make(FieldElem, self.ctx, self.ctx._exp[log[self._x] + log[y]])
-
-    __rmul__ = __mul__
 
     def is_unit(self) -> bool:
         return bool(self._x)
@@ -496,9 +517,4 @@ class AutomorphismSpec:
         if elem.ctx is not ctx and elem.ctx != ctx:
             raise ContextMismatch("element from a different context")
         j = (self.t * k) % ctx.m
-        if j == 0:
-            return elem
-        n, log, exp = ctx._n, ctx._log, ctx._exp
-        a, b = elem._x & n, elem._x >> ctx.m  # b is 0 for a field element
-        return _make(type(elem), ctx, (exp[(log[a] << j) % n] if a else 0)
-                     | (exp[(log[b] << j) % n] if b else 0) << ctx.m)
+        return _make(type(elem), ctx, elem._frob(ctx, elem._x, j))

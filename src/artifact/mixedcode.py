@@ -21,52 +21,103 @@ row before returning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import (
-    CheckFailed,
-    ContextMismatch,
-    OrthogonalityCheckFailed,
-    ShapeMismatch,
-)
+from .errors import (CheckFailed, ContextMismatch, OrthogonalityCheckFailed,
+                     ShapeMismatch)
 from .galois import FieldElem, RingContext, RingElem
 
-__all__ = [
-    "MixedWord",
-    "MixedMatrix",
-    "CodeType",
-    "StandardFormResult",
-    "inner_product",
-    "standard_form",
-    "syndrome",
-    "parity_check",
-]
+__all__ = ["MixedWord", "MixedMatrix", "CodeType", "StandardFormResult",
+           "inner_product", "standard_form", "syndrome", "parity_check"]
 
 
-class MixedWord:
+class Record:
+    """Base of the frozen value records of this package.
+
+    A subclass names its fields in ``__slots__``, their defaults in
+    ``_defaults`` and its checks in ``_validate``.  Records take fields by
+    position or name, compare, hash and pickle by class and values,
+    refuse changes, and :meth:`replace` validates its copy again.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            given = dict(zip(names, args))
+            values = {**self._defaults, **given, **kwargs}
+            if len(args) > len(names) or given.keys() & kwargs.keys() \
+                    or values.keys() != set(names):
+                raise TypeError(f"{type(self).__name__} takes the fields "
+                                f"{', '.join(names)}, each once")
+            args = [values[name] for name in names]
+        self._fill(args)._validate()
+
+    def _fill(self, values):
+        """Set the fields to ``values``, unchecked."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
+
+    def _validate(self):
+        """Raise when the fields do not describe a valid record."""
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, validated again."""
+        return type(self)(**{**dict(zip(self.__slots__, self._values())),
+                             **changes})
+
+
+class MixedWord(Record):
     """An (r, s)-shaped word: field entries then ring entries."""
 
     __slots__ = ("ctx", "alpha", "beta")
 
     def __init__(self, ctx: RingContext, alpha: Sequence[FieldElem],
                  beta: Sequence[RingElem]):
-        alpha = tuple(alpha)
-        beta = tuple(beta)
-        for a in alpha:
+        self._fill((ctx, tuple(alpha), tuple(beta)))._validate()
+
+    def _validate(self):
+        ctx = self.ctx
+        for a in self.alpha:
             if not isinstance(a, FieldElem) or a.ctx != ctx:
                 raise ContextMismatch("binary entries must be field elements "
                                       "of the same context")
-        for b in beta:
+        for b in self.beta:
             if not isinstance(b, RingElem) or b.ctx != ctx:
                 raise ContextMismatch("quaternary entries must be ring "
                                       "elements of the same context")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("words are immutable")
+    @classmethod
+    def _of(cls, ctx: RingContext, alpha, beta) -> "MixedWord":
+        """A word of entries that are already ``ctx``'s, unchecked."""
+        return object.__new__(cls)._fill((ctx, tuple(alpha), tuple(beta)))
 
     @classmethod
     def from_ints(cls, ctx: RingContext, alpha: Iterable[int],
@@ -90,7 +141,7 @@ class MixedWord:
     def _check(self, other: "MixedWord"):
         if not isinstance(other, MixedWord):
             raise ShapeMismatch("expected a word")
-        if other.ctx != self.ctx:
+        if other.ctx is not self.ctx and other.ctx != self.ctx:
             raise ContextMismatch("words from different contexts")
         if other.r != self.r or other.s != self.s:
             raise ShapeMismatch(f"shape ({other.r},{other.s}) does not match "
@@ -98,19 +149,17 @@ class MixedWord:
 
     def __add__(self, other):
         self._check(other)
-        return MixedWord(self.ctx,
-                         [a + b for a, b in zip(self.alpha, other.alpha)],
-                         [a + b for a, b in zip(self.beta, other.beta)])
+        return MixedWord._of(self.ctx,
+                             [a + b for a, b in zip(self.alpha, other.alpha)],
+                             [a + b for a, b in zip(self.beta, other.beta)])
 
     def __sub__(self, other):
         self._check(other)
-        return MixedWord(self.ctx,
-                         [a - b for a, b in zip(self.alpha, other.alpha)],
-                         [a - b for a, b in zip(self.beta, other.beta)])
+        return self + -other
 
     def __neg__(self):
-        return MixedWord(self.ctx, [-a for a in self.alpha],
-                         [-b for b in self.beta])
+        return MixedWord._of(self.ctx, [-a for a in self.alpha],
+                             [-b for b in self.beta])
 
     def scale(self, gamma: RingElem) -> "MixedWord":
         """Scalar action: mod-2 image on the left, full ring on the right."""
@@ -118,8 +167,8 @@ class MixedWord:
             raise ContextMismatch("scalar must be a ring element of the "
                                   "same context")
         gbar = gamma.reduce_mod2()
-        return MixedWord(self.ctx, [gbar * a for a in self.alpha],
-                         [gamma * b for b in self.beta])
+        return MixedWord._of(self.ctx, [gbar * a for a in self.alpha],
+                             [gamma * b for b in self.beta])
 
     def permute_columns(self, bin_perm: Sequence[int],
                         quat_perm: Sequence[int]) -> "MixedWord":
@@ -127,17 +176,8 @@ class MixedWord:
         if sorted(bin_perm) != list(range(self.r)) or \
            sorted(quat_perm) != list(range(self.s)):
             raise ShapeMismatch("not a permutation of the column indices")
-        return MixedWord(self.ctx, [self.alpha[j] for j in bin_perm],
-                         [self.beta[j] for j in quat_perm])
-
-    def __eq__(self, other):
-        if not isinstance(other, MixedWord):
-            return NotImplemented
-        return (self.ctx == other.ctx and self.alpha == other.alpha
-                and self.beta == other.beta)
-
-    def __hash__(self):
-        return hash((self.ctx, self.alpha, self.beta))
+        return MixedWord._of(self.ctx, [self.alpha[j] for j in bin_perm],
+                             [self.beta[j] for j in quat_perm])
 
     def __str__(self):
         left = " ".join(str(a) for a in self.alpha)
@@ -151,40 +191,37 @@ class MixedWord:
 def inner_product(u: MixedWord, v: MixedWord) -> RingElem:
     """Quaternary-valued pairing: doubled binary dot plus quaternary dot."""
     u._check(v)
-    ctx = u.ctx
-    facc = ctx.field_zero()
+    ctx, fadd, fmul = u.ctx, FieldElem._add, FieldElem._mul
+    radd, rmul = RingElem._add, RingElem._mul
+    f = r = 0
     for a, d in zip(u.alpha, v.alpha):
-        facc = facc + a * d
-    racc = ctx.ring_zero()
+        f = fadd(ctx, f, fmul(ctx, a._x, d._x))
     for b, e in zip(u.beta, v.beta):
-        racc = racc + b * e
-    return 2 * facc.lift() + racc
+        r = radd(ctx, r, rmul(ctx, b._x, e._x))
+    # Packed f is also the ring element T(f), and 2*T(f) = 2*lift(f).
+    two = RingElem._const(ctx, 2)
+    return RingElem._of(ctx, radd(ctx, r, rmul(ctx, f, two)))
 
 
-class MixedMatrix:
+class MixedMatrix(Record):
     """An ordered list of same-shaped words; rows may be dependent."""
 
     __slots__ = ("ctx", "r", "s", "rows")
 
     def __init__(self, ctx: RingContext, r: int, s: int,
                  rows: Iterable[MixedWord] = ()):
-        rows = tuple(rows)
-        for w in rows:
+        self._fill((ctx, r, s, tuple(rows)))._validate()
+
+    def _validate(self):
+        for w in self.rows:
             if not isinstance(w, MixedWord):
                 raise ShapeMismatch("rows must be words")
-            if w.ctx != ctx:
+            if w.ctx != self.ctx:
                 raise ContextMismatch("row from a different context")
-            if w.r != r or w.s != s:
+            if w.r != self.r or w.s != self.s:
                 raise ShapeMismatch("row shape does not match the matrix")
-        if r < 0 or s < 0 or r + s == 0:
+        if self.r < 0 or self.s < 0 or self.r + self.s == 0:
             raise ShapeMismatch("matrix must have coordinates")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("matrices are immutable")
 
     @classmethod
     def from_rows(cls, rows: Sequence[MixedWord]) -> "MixedMatrix":
@@ -202,15 +239,6 @@ class MixedMatrix:
     def __getitem__(self, i) -> MixedWord:
         return self.rows[i]
 
-    def __eq__(self, other):
-        if not isinstance(other, MixedMatrix):
-            return NotImplemented
-        return (self.ctx == other.ctx and self.r == other.r
-                and self.s == other.s and self.rows == other.rows)
-
-    def __hash__(self):
-        return hash((self.ctx, self.r, self.s, self.rows))
-
     def permute_columns(self, bin_perm, quat_perm) -> "MixedMatrix":
         return MixedMatrix(self.ctx, self.r, self.s,
                            [w.permute_columns(bin_perm, quat_perm)
@@ -223,17 +251,12 @@ class MixedMatrix:
         return f"MixedMatrix(r={self.r}, s={self.s}, rows={len(self.rows)})"
 
 
-@dataclass(frozen=True)
-class CodeType:
+class CodeType(Record):
     """The type ``(r, s; k0; k1, k2)`` of a code in standard position."""
 
-    r: int
-    s: int
-    k0: int
-    k1: int
-    k2: int
+    __slots__ = ("r", "s", "k0", "k1", "k2")
 
-    def __post_init__(self):
+    def _validate(self):
         if not (0 <= self.k0 <= self.r):
             raise ShapeMismatch("k0 out of range")
         if self.k1 < 0 or self.k2 < 0 or self.k1 + self.k2 > self.s:
@@ -252,8 +275,7 @@ class CodeType:
         return f"({self.r},{self.s};{self.k0};{self.k1},{self.k2})"
 
 
-@dataclass(frozen=True)
-class StandardFormResult:
+class StandardFormResult(Record):
     """Outcome of ``standard_form``.
 
     ``g_std`` lives in permuted coordinates: its column ``i`` on either
@@ -262,10 +284,7 @@ class StandardFormResult:
     docstring, and ``parity_check`` reads the blocks from them.
     """
 
-    g_std: MixedMatrix
-    code_type: CodeType
-    bin_perm: tuple
-    quat_perm: tuple
+    __slots__ = ("g_std", "code_type", "bin_perm", "quat_perm")
 
 
 def standard_form(mat: MixedMatrix) -> StandardFormResult:
@@ -331,8 +350,8 @@ def standard_form(mat: MixedMatrix) -> StandardFormResult:
                       [c for c in range(s)
                        if c not in k1_cols and c not in k2_cols])
     g_std = MixedMatrix(ctx, r, s, [
-        MixedWord(ctx, [rows[i][0][c] for c in bin_perm],
-                  [rows[i][1][c] for c in quat_perm])
+        MixedWord._of(ctx, [rows[i][0][c] for c in bin_perm],
+                      [rows[i][1][c] for c in quat_perm])
         for i in k0_rows + k1_rows + k2_rows])
     return StandardFormResult(
         g_std, CodeType(r, s, len(k0_rows), len(k1_rows), len(k2_rows)),
@@ -372,7 +391,7 @@ def parity_check(sf: StandardFormResult) -> MixedMatrix:
         alpha = [-w.alpha[c] for w in g0] + \
                 [f1 if j == c else f0 for j in range(k0, r)]
         beta = [-(2 * w.alpha[c].lift()) for w in g1] + [r0] * (s - k1)
-        rows.append(MixedWord(ctx, alpha, beta))
+        rows.append(MixedWord._of(ctx, alpha, beta))
     # Rows dual to the free quaternary columns.
     for c in range(k1 + k2, s):
         alpha = [-w.beta[c].halve() for w in g0] + [f0] * (r - k0)
@@ -385,12 +404,12 @@ def parity_check(sf: StandardFormResult) -> MixedMatrix:
             beta.append(acc)
         beta += [-a for a in a12]
         beta += [r1 if j == c else r0 for j in range(k1 + k2, s)]
-        rows.append(MixedWord(ctx, alpha, beta))
+        rows.append(MixedWord._of(ctx, alpha, beta))
     # Rows dual to the doubled pivots.
     for c in range(k1, k1 + k2):
         beta = [-(2 * w.beta[c]) for w in g1]
         beta += [2 * r1 if j == c else r0 for j in range(k1, s)]
-        rows.append(MixedWord(ctx, [f0] * r, beta))
+        rows.append(MixedWord._of(ctx, [f0] * r, beta))
 
     h = MixedMatrix(ctx, r, s, rows)
     for g_row in g:

@@ -36,13 +36,12 @@ a derived ``(l1, 2q)`` generator.  The validation report says so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import (ContextMismatch, DivisionByZero, DivisorNotUnitLeading,
                      MissingComponent, NotRightDivisible, ShapeMismatch)
 from .galois import AutomorphismSpec
-from .mixedcode import (MixedMatrix, MixedWord, parity_check,
+from .mixedcode import (MixedMatrix, MixedWord, Record, parity_check,
                         standard_form, syndrome)
 from .skewpoly import SkewPoly
 
@@ -55,15 +54,11 @@ __all__ = [
 
 def theta_shift(w: MixedWord, autom: AutomorphismSpec) -> MixedWord:
     """One skew cyclic step: rotate each side, twisting every entry."""
-    if autom.ctx != w.ctx:
+    if autom.ctx is not w.ctx and autom.ctx != w.ctx:
         raise ContextMismatch("word and automorphism contexts differ")
-    alpha = [autom.apply(a) for a in w.alpha]
-    beta = [autom.apply(b) for b in w.beta]
-    if alpha:
-        alpha = alpha[-1:] + alpha[:-1]
-    if beta:
-        beta = beta[-1:] + beta[:-1]
-    return MixedWord(w.ctx, alpha, beta)
+    return MixedWord._of(w.ctx,
+                         [autom.apply(a) for a in w.alpha[-1:] + w.alpha[:-1]],
+                         [autom.apply(b) for b in w.beta[-1:] + w.beta[:-1]])
 
 
 def skew_closed(mat: MixedMatrix, autom: AutomorphismSpec) -> bool:
@@ -86,8 +81,7 @@ def skew_closed(mat: MixedMatrix, autom: AutomorphismSpec) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SkewGenerators:
+class SkewGenerators(Record):
     """A generator tuple, optionally completed with its cofactors.
 
     Component kinds: ``f``, ``l``, ``l1`` binary; ``g``, ``a``, ``q``
@@ -97,32 +91,18 @@ class SkewGenerators:
     derived ``(l1, 2q)`` row (see the module docstring).
     """
 
-    autom: AutomorphismSpec
-    r: int
-    s: int
-    f: Optional[SkewPoly] = None
-    l: Optional[SkewPoly] = None
-    g: Optional[SkewPoly] = None
-    a: Optional[SkewPoly] = None
-    l1: Optional[SkewPoly] = None
-    q: Optional[SkewPoly] = None
-    h_f: Optional[SkewPoly] = None
-    h_g: Optional[SkewPoly] = None
-    h_q: Optional[SkewPoly] = None
-    k: Optional[SkewPoly] = None
-    materialized: bool = False
+    __slots__ = ("autom", "r", "s", "f", "l", "g", "a", "l1", "q",
+                 "h_f", "h_g", "h_q", "k", "materialized")
+    _defaults = dict.fromkeys(__slots__[3:-1], None) | {"materialized": False}
 
-    def __post_init__(self):
+    def _validate(self):
         if self.r < 0 or self.s < 0 or self.r + self.s == 0:
             raise ShapeMismatch("lengths r, s must describe coordinates")
-        for name in ("f", "l", "l1"):
-            p = getattr(self, name)
-            if p is not None and p.ring:
-                raise ContextMismatch(f"{name} must be a binary polynomial")
-        for name in ("g", "a", "q"):
-            p = getattr(self, name)
-            if p is not None and not p.ring:
-                raise ContextMismatch(f"{name} must be a quaternary polynomial")
+        for name in ("f", "l", "l1", "g", "a", "q"):
+            p, ring = getattr(self, name), name in ("g", "a", "q")
+            if p is not None and p.ring != ring:
+                kind = "quaternary" if ring else "binary"
+                raise ContextMismatch(f"{name} must be a {kind} polynomial")
         for name in ("f", "l", "l1", "g", "a", "q"):
             p = getattr(self, name)
             if p is not None and p.autom != self.autom:
@@ -154,18 +134,14 @@ class SkewGenerators:
         return self.g if self.a is None else self.g + 2 * self.a
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
-    name: str
-    passed: bool
-    detail: str = ""
+class ConditionCheck(Record):
+    __slots__ = ("name", "passed", "detail")
+    _defaults = {"detail": ""}
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    case: str
-    checks: tuple
-    notes: tuple = ()
+class ValidationReport(Record):
+    __slots__ = ("case", "checks", "notes")
+    _defaults = {"notes": ()}
 
     @property
     def valid(self) -> bool:
@@ -203,7 +179,6 @@ def _materialized_residual(gens: SkewGenerators, h_g: SkewPoly):
 
     Returns (l1, q) as (field poly or None, field poly or None).
     """
-    autom = gens.autom
     l1m = None
     if gens.l is not None and not gens.l.is_zero:
         l1m = (h_g.mod2() * gens.l).reduce_mod_xn(gens.r)
@@ -213,7 +188,7 @@ def _materialized_residual(gens: SkewGenerators, h_g: SkewPoly):
     if gens.a is not None and not gens.a.is_zero:
         prod = (h_g * (2 * gens.a)).reduce_mod_xn(gens.s)
         # prod is doubled; halve it into the field.
-        qm = SkewPoly(autom, [c.halve() for c in prod.coeffs], False)
+        qm = SkewPoly(gens.autom, [c.halve() for c in prod.coeffs], False)
         if qm.is_zero:
             qm = None
     return l1m, qm
@@ -348,8 +323,8 @@ def analyse_generators(gens: SkewGenerators):
                   + times(h_g, gens.l), "k or h_g undefined")
 
     report = ValidationReport(case, tuple(checks), tuple(notes))
-    full = replace(gens, l1=l1, q=q, h_f=h_f if gens.f is not None else None,
-                   h_g=h_g, h_q=h_q, k=k, materialized=materialized)
+    full = gens.replace(l1=l1, q=q, h_f=h_f if gens.f is not None else None,
+                        h_g=h_g, h_q=h_q, k=k, materialized=materialized)
     return report, full, error
 
 
@@ -384,13 +359,10 @@ def derive_cofactors(gens: SkewGenerators) -> SkewGenerators:
     return full
 
 
-@dataclass(frozen=True)
-class SpanningSet:
+class SpanningSet(Record):
     """Shift rows of each template generator, in matrix order."""
 
-    s1: tuple
-    s2: tuple
-    s3: tuple
+    __slots__ = ("s1", "s2", "s3")
 
     @property
     def rows(self):
@@ -398,18 +370,13 @@ class SpanningSet:
 
 
 def _shift_count(cofactor: Optional[SkewPoly]) -> int:
-    if cofactor is None or cofactor.is_zero:
-        return 0
-    return max(int(cofactor.degree), 0)
+    return 0 if cofactor is None or cofactor.is_zero else cofactor.degree
 
 
 def _padded(p: Optional[SkewPoly], n: int, zero) -> list:
     """The ``n`` coefficients of ``p`` mod ``x^n - 1``; None reads as 0."""
-    if p is None:
-        return [zero] * n
-    if p.degree >= n:
-        p = p.reduce_mod_xn(n)
-    return list(p.coeffs) + [zero] * (n - len(p.coeffs))
+    coeffs = () if p is None else p.reduce_mod_xn(n).coeffs
+    return list(coeffs) + [zero] * (n - len(coeffs))
 
 
 def spanning_set(gens: SkewGenerators):
@@ -425,16 +392,15 @@ def spanning_set(gens: SkewGenerators):
     """
     if gens.h_f is None and gens.h_g is None and gens.h_q is None:
         gens = derive_cofactors(gens)
-    autom = gens.autom
+    autom, r, s = gens.autom, gens.r, gens.s
     ctx = autom.ctx
-    r, s = gens.r, gens.s
     zero_f, zero_r = ctx.field_zero(), ctx.ring_zero()
 
     def shifts(a, b, cofactor):
         # Row i is x^i times the template (a, b): the i-th shift.
         count = _shift_count(cofactor)
-        rows = [MixedWord(ctx, _padded(a, r, zero_f),
-                          _padded(b, s, zero_r))] if count else []
+        rows = [MixedWord._of(ctx, _padded(a, r, zero_f),
+                              _padded(b, s, zero_r))] if count else []
         while len(rows) < count:
             rows.append(theta_shift(rows[-1], autom))
         return tuple(rows)
@@ -447,8 +413,7 @@ def spanning_set(gens: SkewGenerators):
     if gens.q is not None:
         s3 = shifts(gens.l1, 2 * gens.q, gens.h_q)
     ss = SpanningSet(s1, s2, s3)
-    mat = MixedMatrix(ctx, r, s, ss.rows)
-    return ss, mat
+    return ss, MixedMatrix(ctx, r, s, ss.rows)
 
 
 def skew_code_cardinality(gens: SkewGenerators) -> int:
@@ -461,7 +426,5 @@ def skew_code_cardinality(gens: SkewGenerators) -> int:
     if gens.h_f is None and gens.h_g is None and gens.h_q is None:
         gens = derive_cofactors(gens)
     m = gens.autom.ctx.m
-    n1 = _shift_count(gens.h_f)
-    n2 = _shift_count(gens.h_g)
-    n3 = _shift_count(gens.h_q)
-    return (1 << (m * n1)) * (1 << (2 * m * n2)) * (1 << (m * n3))
+    return 1 << m * (_shift_count(gens.h_f) + 2 * _shift_count(gens.h_g)
+                     + _shift_count(gens.h_q))

@@ -9,24 +9,22 @@ coefficient tuple and degree ``float('-inf')``.
 Right division by a polynomial with a unit leading coefficient is
 always possible and unique: ``f = q * g + r`` with ``deg r < deg g``.
 Divisibility below always means right divisibility, ``f = q * g``.
+
+Products, divisions and reductions run on packed coefficient ints
+through the ``_add``, ``_neg``, ``_mul`` and ``_frob`` kernels of
+:mod:`~artifact.galois`, twisting a factor once per distinct Frobenius
+power; ``_packed`` wraps the result without the constructor's checks.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
-from .errors import (
-    ContextMismatch,
-    DivisionByZero,
-    DivisorNotUnitLeading,
-    InvalidArgument,
-)
+from .errors import (ContextMismatch, DivisionByZero, DivisorNotUnitLeading,
+                     InvalidArgument)
 from .galois import AutomorphismSpec, FieldElem, RingElem
 
-__all__ = [
-    "SkewPoly",
-    "right_divides",
-]
+__all__ = ["SkewPoly", "right_divides"]
 
 NEG_INF = float("-inf")
 
@@ -46,30 +44,40 @@ class SkewPoly:
         vec = list(coeffs)
         for c in vec:
             if not isinstance(c, want):
-                raise ContextMismatch(
-                    f"expected {want.__name__} coefficients"
-                )
-            if c.ctx != autom.ctx:
+                raise ContextMismatch(f"expected {want.__name__} coefficients")
+            if c.ctx is not autom.ctx and c.ctx != autom.ctx:
                 raise ContextMismatch("coefficient from a different context")
-        while vec and not vec[-1]:
-            vec.pop()
-        object.__setattr__(self, "autom", autom)
-        object.__setattr__(self, "coeffs", tuple(vec))
-        object.__setattr__(self, "ring", ring)
+        self._fill(autom, vec, ring)
 
     def __setattr__(self, name, value):
         raise AttributeError("skew polynomials are immutable")
 
+    def _fill(self, autom: AutomorphismSpec, vec: list, ring: bool):
+        while vec and not vec[-1]:
+            vec.pop()
+        for name, value in zip(self.__slots__, (autom, tuple(vec), ring)):
+            object.__setattr__(self, name, value)
+        return self
+
+    @classmethod
+    def _packed(cls, autom: AutomorphismSpec, xs, ring: bool) -> "SkewPoly":
+        """Polynomial of packed coefficients from ``autom.ctx``'s tables."""
+        of, ctx = (RingElem if ring else FieldElem)._of, autom.ctx
+        return cls.__new__(cls)._fill(autom, [of(ctx, x) for x in xs], ring)
+
+    def _kernels(self):
+        """``(ctx, add, neg, mul, frob)`` of the coefficient class."""
+        kind = RingElem if self.ring else FieldElem
+        return self.autom.ctx, kind._add, kind._neg, kind._mul, kind._frob
+
     # Builders.
 
     @classmethod
-    def from_ints(
-        cls, autom: AutomorphismSpec, ints: Iterable[int], ring: bool = True
-    ) -> "SkewPoly":
+    def from_ints(cls, autom: AutomorphismSpec, ints: Iterable[int],
+                  ring: bool = True) -> "SkewPoly":
         """Polynomial with constant coefficients given as ints."""
-        ctx = autom.ctx
-        make = ctx.ring if ring else ctx.field
-        return cls(autom, [make((c,)) for c in ints], ring)
+        const = (RingElem if ring else FieldElem)._const
+        return cls._packed(autom, [const(autom.ctx, c) for c in ints], ring)
 
     @classmethod
     def zero(cls, autom: AutomorphismSpec, ring: bool = True) -> "SkewPoly":
@@ -84,9 +92,8 @@ class SkewPoly:
         return cls.from_ints(autom, [0] * k + [1], ring)
 
     @classmethod
-    def x_pow_minus_one(
-        cls, autom: AutomorphismSpec, n: int, ring: bool = True
-    ) -> "SkewPoly":
+    def x_pow_minus_one(cls, autom: AutomorphismSpec, n: int,
+                        ring: bool = True) -> "SkewPoly":
         """The modulus ``x^n - 1`` (central exactly when theta^n = id)."""
         return cls.from_ints(autom, [-1] + [0] * (n - 1) + [1], ring)
 
@@ -157,29 +164,26 @@ class SkewPoly:
         return self + (-o)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return -self + other
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero or o.is_zero:
-            return SkewPoly(self.autom, (), self.ring)
-        autom = self.autom
-        ctx = autom.ctx
-        zero = ctx.ring_zero() if self.ring else ctx.field_zero()
-        vec = [zero] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
+        ctx, add, _, mul, frob = self._kernels()
+        t, b = self.autom.t, [c._x for c in o.coeffs]
+        vec = [0] * (len(self.coeffs) + len(b) - 1)
+        twisted = {}
+        for i, c in enumerate(self.coeffs):
+            x, j = c._x, t * i % ctx.m
+            if not x:
                 continue
-            for j, b in enumerate(o.coeffs):
-                if not b:
-                    continue
-                vec[i + j] = vec[i + j] + a * autom.apply_power(b, i)
-        return SkewPoly(autom, vec, self.ring)
+            if j not in twisted:
+                twisted[j] = [frob(ctx, y, j) for y in b]
+            for k, y in enumerate(twisted[j], i):
+                if y:
+                    vec[k] = add(ctx, vec[k], mul(ctx, x, y))
+        return SkewPoly._packed(self.autom, vec, self.ring)
 
     def __rmul__(self, other):
         # Only scalars reach here; scalar times poly twists nothing.
@@ -191,11 +195,8 @@ class SkewPoly:
     def __eq__(self, other):
         if not isinstance(other, SkewPoly):
             return NotImplemented
-        return (
-            self.autom == other.autom
-            and self.ring == other.ring
-            and self.coeffs == other.coeffs
-        )
+        return (self.autom == other.autom and self.ring == other.ring
+                and self.coeffs == other.coeffs)
 
     def __hash__(self):
         return hash((self.autom, self.ring, self.coeffs))
@@ -220,22 +221,29 @@ class SkewPoly:
             raise DivisionByZero("right division by the zero polynomial")
         if not divisor.lead.is_unit():
             raise DivisorNotUnitLeading(
-                f"leading coefficient {divisor.lead} is not a unit"
-            )
-        autom = self.autom
-        ctx = autom.ctx
-        zero = ctx.ring_zero() if self.ring else ctx.field_zero()
-        inv_lc = divisor.lead.inverse()
-        dd = divisor.degree
-        q = SkewPoly(autom, (), self.ring)
-        r = self
-        while not r.is_zero and r.degree >= dd:
-            k = r.degree - dd
-            c = r.lead * autom.apply_power(inv_lc, k)
-            mono = SkewPoly(autom, [zero] * k + [c], self.ring)
-            q = q + mono
-            r = r - mono * divisor
-        return q, r
+                f"leading coefficient {divisor.lead} is not a unit")
+        # Step k clears x^(k+dd) with c x^k, c = lead * theta^k(1/lc):
+        # r -= c x^k * divisor adds c * -theta^k(d_i) at each x^(k+i).
+        ctx, add, neg, mul, frob = self._kernels()
+        t, d = self.autom.t, [c._x for c in divisor.coeffs]
+        dd, inv = len(d) - 1, divisor.lead.inverse()._x
+        r = [c._x for c in self.coeffs]
+        q = [0] * max(len(r) - dd, 0)
+        twisted = {}
+        for k in range(len(q) - 1, -1, -1):
+            if not r[k + dd]:
+                continue
+            j = t * k % ctx.m
+            if j not in twisted:
+                twisted[j] = frob(ctx, inv, j), [
+                    neg(ctx, frob(ctx, y, j)) for y in d[:-1]]
+            inv_j, minus_d = twisted[j]
+            c = q[k] = mul(ctx, r[k + dd], inv_j)
+            for i, y in enumerate(minus_d, k):
+                if y:
+                    r[i] = add(ctx, r[i], mul(ctx, c, y))
+        return (SkewPoly._packed(self.autom, q, self.ring),
+                SkewPoly._packed(self.autom, r[:dd], self.ring))
 
     def reduce_mod_xn(self, n: int) -> "SkewPoly":
         """Remainder modulo the central polynomial ``x^n - 1``.
@@ -245,20 +253,18 @@ class SkewPoly:
         """
         if n < 1:
             raise InvalidArgument("n must be positive")
-        ctx = self.autom.ctx
-        zero = ctx.ring_zero() if self.ring else ctx.field_zero()
-        vec = [zero] * n
+        ctx, add = self._kernels()[:2]
+        vec = [0] * n
         for k, c in enumerate(self.coeffs):
-            vec[k % n] = vec[k % n] + c
-        return SkewPoly(self.autom, vec, self.ring)
+            vec[k % n] = add(ctx, vec[k % n], c._x)
+        return SkewPoly._packed(self.autom, vec, self.ring)
 
     def mod2(self) -> "SkewPoly":
         """Image with coefficients reduced to the residue field."""
         if not self.ring:
             return self
-        return SkewPoly(
-            self.autom, [c.reduce_mod2() for c in self.coeffs], False
-        )
+        return SkewPoly(self.autom, [c.reduce_mod2() for c in self.coeffs],
+                        False)
 
     def lift(self) -> "SkewPoly":
         """Ring polynomial with the same {0, 1} coefficients."""

@@ -319,14 +319,11 @@ def parse_matrix(text: str) -> Tuple[RingContext, MixedMatrix]:
         if raw.find("|", bar + 1) >= 0:
             raise ParseError("row has more than one '|'", lineno,
                              raw.find("|", bar + 1))
-        alpha = []
-        for mt in re.finditer(r"\S+", raw[:bar]):
-            alpha.append(parse_element(mt.group(), ctx, ring=False,
-                                       line=lineno, col=mt.start()))
-        beta = []
-        for mt in re.finditer(r"\S+", raw[bar + 1:]):
-            beta.append(parse_element(mt.group(), ctx, ring=True,
-                                      line=lineno, col=bar + 1 + mt.start()))
+        alpha = [parse_element(mt.group(), ctx, False, lineno, mt.start())
+                 for mt in re.finditer(r"\S+", raw[:bar])]
+        beta = [parse_element(mt.group(), ctx, True, lineno,
+                              bar + 1 + mt.start())
+                for mt in re.finditer(r"\S+", raw[bar + 1:])]
         if len(alpha) != r:
             raise ParseError(f"expected {r} binary entries, found "
                              f"{len(alpha)}", lineno, 0)
@@ -367,11 +364,7 @@ def parse_gens(text: str) -> Tuple[RingContext, AutomorphismSpec,
             parts[key] = parse_poly(value, autom,
                                     ring=key not in _FIELD_PARTS,
                                     line=lineno, col=col)
-    gens = SkewGenerators(autom=autom, r=r, s=s, f=parts.get("f"),
-                          l=parts.get("l"), g=parts.get("g"),
-                          a=parts.get("a"), l1=parts.get("l1"),
-                          q=parts.get("q"))
-    return ctx, autom, gens
+    return ctx, autom, SkewGenerators(autom=autom, r=r, s=s, **parts)
 
 
 def emit_gens(gens: SkewGenerators) -> str:

@@ -71,3 +71,13 @@ def test_oracle_loads_on_first_access():
     res = subprocess.run([sys.executable, "-c", script],
                          capture_output=True, text=True, check=True)
     assert res.stdout.split() == ["False", "True"]
+
+
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # Each module the import loads is compiled on a cold start; these
+    # two (with dis and ast behind inspect) cost more than the package.
+    script = ("import sys, artifact\n"
+              "print('dataclasses' in sys.modules, 'inspect' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.split() == ["False", "False"]
