@@ -23,7 +23,8 @@ so with the field's log/antilog tables every operation is O(1)::
 Each formula is written once, as a kernel on packed ints: ``_add``,
 ``_neg`` and ``_mul`` of :class:`RingElem` and :class:`FieldElem` and
 the shared ``_frob``.  The element operators call them, and so do the
-loops of :mod:`~artifact.skewpoly` and ``mixedcode.inner_product``,
+loops of :mod:`~artifact.skewpoly`, ``mixedcode.MixedWord._add_scaled``
+(the word primitive), ``mixedcode.inner_product`` and ``theta_shift``,
 which wrap their results with ``_of``, skipping the constructor checks.
 
 The tables hold O(2^m) entries, filled by one walk over the powers of
@@ -398,6 +399,9 @@ class RingContext:
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        return RingContext, (self.m, self.h)
 
     def __repr__(self):
         return f"RingContext(m={self.m}, h={list(self.h)})"

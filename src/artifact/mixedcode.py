@@ -3,7 +3,10 @@
 A word has ``r`` coordinates in GF(2^m) followed by ``s`` coordinates
 in GR(4, m).  Scalars come from the quaternary ring: a scalar ``gamma``
 acts as its mod-2 image on the binary part and as itself on the
-quaternary part, so scaling by 2 kills the binary part.
+quaternary part, so scaling by 2 kills the binary part.  Words combine
+through that one action, ``u + gamma*v`` in a single pass over the
+packed entries: sums, differences, negation, scaling and the row
+operations of ``standard_form`` are all calls of it.
 
 ``standard_form`` reduces a generator matrix to the block layout::
 
@@ -147,28 +150,37 @@ class MixedWord(Record):
             raise ShapeMismatch(f"shape ({other.r},{other.s}) does not match "
                                 f"({self.r},{self.s})")
 
+    def _add_scaled(self, c: int, other: "MixedWord") -> "MixedWord":
+        """``self + c*other`` for a packed ring scalar ``c``, unchecked;
+        ``c`` acts as its mod-2 image on the binary side."""
+        ctx, cbar = self.ctx, c & self.ctx._n
+        fadd, fmul, fof = FieldElem._add, FieldElem._mul, FieldElem._of
+        radd, rmul, rof = RingElem._add, RingElem._mul, RingElem._of
+        return MixedWord._of(
+            ctx, [fof(ctx, fadd(ctx, a._x, fmul(ctx, cbar, d._x)))
+                  for a, d in zip(self.alpha, other.alpha)],
+            [rof(ctx, radd(ctx, b._x, rmul(ctx, c, e._x)))
+             for b, e in zip(self.beta, other.beta)])
+
     def __add__(self, other):
         self._check(other)
-        return MixedWord._of(self.ctx,
-                             [a + b for a, b in zip(self.alpha, other.alpha)],
-                             [a + b for a, b in zip(self.beta, other.beta)])
+        return self._add_scaled(1, other)
 
     def __sub__(self, other):
         self._check(other)
-        return self + -other
+        return self._add_scaled(RingElem._const(self.ctx, -1), other)
 
     def __neg__(self):
-        return MixedWord._of(self.ctx, [-a for a in self.alpha],
-                             [-b for b in self.beta])
+        # -w = w + 2w: 2 is 0 mod 2, and -a = a in the field.
+        return self._add_scaled(RingElem._const(self.ctx, 2), self)
 
     def scale(self, gamma: RingElem) -> "MixedWord":
         """Scalar action: mod-2 image on the left, full ring on the right."""
         if not isinstance(gamma, RingElem) or gamma.ctx != self.ctx:
             raise ContextMismatch("scalar must be a ring element of the "
                                   "same context")
-        gbar = gamma.reduce_mod2()
-        return MixedWord._of(self.ctx, [gbar * a for a in self.alpha],
-                             [gamma * b for b in self.beta])
+        # gamma*w = w + (gamma - 1)*w.
+        return self._add_scaled((gamma - 1)._x, self)
 
     def permute_columns(self, bin_perm: Sequence[int],
                         quat_perm: Sequence[int]) -> "MixedWord":
@@ -299,50 +311,42 @@ def standard_form(mat: MixedMatrix) -> StandardFormResult:
     StandardFormResult
     """
     ctx, r, s = mat.ctx, mat.r, mat.s
-    rows = [[list(w.alpha), list(w.beta)] for w in mat.rows]
+    rows = list(mat.rows)
     free = list(range(len(rows)))
 
-    def scale_row(i, gamma):
-        gbar = gamma.reduce_mod2()
-        rows[i][0] = [gbar * a for a in rows[i][0]]
-        rows[i][1] = [gamma * b for b in rows[i][1]]
-
-    def subtract(i, gamma, j):
-        # row i -= gamma * row j
-        gbar = gamma.reduce_mod2()
-        rows[i][0] = [a - gbar * b for a, b in zip(rows[i][0], rows[j][0])]
-        rows[i][1] = [a - gamma * b for a, b in zip(rows[i][1], rows[j][1])]
-
-    # (side, is-pivot test, scalar an entry stands for, whether the k1
-    # rows are cleared) of the k1, k0 and k2 blocks.  Once the k1 rows
-    # are out, the free rows' quaternary parts are doubled, so only a
-    # scalar's mod-2 image matters; k2 pivots on halves and leaves the
+    # (side, width, is-pivot test, scalar an entry stands for, whether
+    # the k1 rows are cleared) of the k1, k0 and k2 blocks.  Once the k1
+    # rows are out, the free rows' quaternary parts are doubled, so only
+    # a scalar's mod-2 image matters; k2 pivots on halves and leaves the
     # k1 rows their A01 block.  Clearing a column can place pivots into
     # columns already scanned, so every round rescans from the left.
-    phases = ((1, RingElem.is_unit, lambda e: e, True),
-              (0, FieldElem.is_unit, FieldElem.lift, True),
-              (1, bool, lambda e: e.halve().lift(), False))
+    phases = (("beta", s, RingElem.is_unit, lambda e: e, True),
+              ("alpha", r, FieldElem.is_unit, FieldElem.lift, True),
+              ("beta", s, bool, lambda e: e.halve().lift(), False))
     pivots = []
-    for side, is_pivot, scalar, clear_k1 in phases:
+    for side, width, is_pivot, scalar, clear_k1 in phases:
         skip = () if clear_k1 else pivots[0][0]
         p_rows, p_cols = [], []
         while True:
-            hit = next(((i, c) for c in range(s if side else r) for i in free
-                        if is_pivot(rows[i][side][c])), None)
+            hit = next(((i, c) for c in range(width) for i in free
+                        if is_pivot(getattr(rows[i], side)[c])), None)
             if hit is None:
                 break
             i, col = hit
-            scale_row(i, scalar(rows[i][side][col]).inverse())
+            rows[i] = rows[i].scale(
+                scalar(getattr(rows[i], side)[col]).inverse())
             for j in range(len(rows)):
-                if j != i and j not in skip and rows[j][side][col]:
-                    subtract(j, scalar(rows[j][side][col]), i)
+                if j != i and j not in skip and (
+                        entry := getattr(rows[j], side)[col]):
+                    rows[j] = rows[j]._add_scaled(
+                        RingElem._neg(ctx, scalar(entry)._x), rows[i])
             free.remove(i)
             p_rows.append(i)
             p_cols.append(col)
         pivots.append((p_rows, p_cols))
     (k1_rows, k1_cols), (k0_rows, k0_cols), (k2_rows, k2_cols) = pivots
 
-    if any(any(rows[i][0]) or any(rows[i][1]) for i in free):
+    if any(not rows[i].is_zero for i in free):
         raise CheckFailed("a row survived all reduction phases")
 
     bin_perm = tuple(k0_cols + [c for c in range(r) if c not in k0_cols])
@@ -350,8 +354,7 @@ def standard_form(mat: MixedMatrix) -> StandardFormResult:
                       [c for c in range(s)
                        if c not in k1_cols and c not in k2_cols])
     g_std = MixedMatrix(ctx, r, s, [
-        MixedWord._of(ctx, [rows[i][0][c] for c in bin_perm],
-                      [rows[i][1][c] for c in quat_perm])
+        rows[i].permute_columns(bin_perm, quat_perm)
         for i in k0_rows + k1_rows + k2_rows])
     return StandardFormResult(
         g_std, CodeType(r, s, len(k0_rows), len(k1_rows), len(k2_rows)),
@@ -396,12 +399,8 @@ def parity_check(sf: StandardFormResult) -> MixedMatrix:
     for c in range(k1 + k2, s):
         alpha = [-w.beta[c].halve() for w in g0] + [f0] * (r - k0)
         a12 = [w.beta[c].halve().lift() for w in g2]
-        beta = []
-        for w in g1:
-            acc = -w.beta[c]
-            for a, b in zip(a12, w.beta[k1:k1 + k2]):
-                acc = acc + a * b
-            beta.append(acc)
+        beta = [sum((a * b for a, b in zip(a12, w.beta[k1:k1 + k2])),
+                    -w.beta[c]) for w in g1]
         beta += [-a for a in a12]
         beta += [r1 if j == c else r0 for j in range(k1 + k2, s)]
         rows.append(MixedWord._of(ctx, alpha, beta))

@@ -55,7 +55,6 @@ from __future__ import annotations
 import bisect
 import functools
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -69,7 +68,7 @@ from .errors import (
     TrivialCode,
 )
 from .galois import AutomorphismSpec, RingContext
-from .mixedcode import MixedMatrix, MixedWord
+from .mixedcode import MixedMatrix, MixedWord, Record
 from .skewpoly import SkewPoly
 
 __all__ = [
@@ -209,18 +208,16 @@ class _Codec:
         return self.map(arr, tables, self.rotated)
 
 
-@dataclass(frozen=True)
-class EnumeratedCode:
+class EnumeratedCode(Record):
     """An explicit, sorted word set together with its packing.
 
-    ``gens`` holds packed words that generate the set as a
-    GR(4,m)-module, the rows that grew a span, or None for a set that
+    ``packed`` is a sorted np.uint64 array, or a sorted tuple of ints
+    past 64 bits.  ``gens`` holds packed words that generate the set as
+    a GR(4,m)-module, the rows that grew a span, or None for a set that
     was not built as one.
     """
 
-    codec: _Codec
-    packed: object  # sorted np.uint64 array, or sorted tuple of ints
-    gens: Optional[np.ndarray]  # in the codec's dtype
+    __slots__ = ("codec", "packed", "gens")
 
     @property
     def ctx(self) -> RingContext:
@@ -466,14 +463,11 @@ def is_skew_cyclic(code, autom: AutomorphismSpec) -> bool:
     return bool(np.array_equal(shifted, arr))
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     """Outcome of classifying a quaternary skew cyclic code."""
 
-    case: str
-    g: Optional[SkewPoly] = None
-    a: Optional[SkewPoly] = None
-    q: Optional[SkewPoly] = None
+    __slots__ = ("case", "g", "a", "q")
+    _defaults = dict.fromkeys(__slots__[1:])
 
 
 def classify_z4_skew_cyclic(code, autom: AutomorphismSpec) -> Classification:

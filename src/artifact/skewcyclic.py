@@ -56,9 +56,10 @@ def theta_shift(w: MixedWord, autom: AutomorphismSpec) -> MixedWord:
     """One skew cyclic step: rotate each side, twisting every entry."""
     if autom.ctx is not w.ctx and autom.ctx != w.ctx:
         raise ContextMismatch("word and automorphism contexts differ")
-    return MixedWord._of(w.ctx,
-                         [autom.apply(a) for a in w.alpha[-1:] + w.alpha[:-1]],
-                         [autom.apply(b) for b in w.beta[-1:] + w.beta[:-1]])
+    ctx, j = w.ctx, autom.t % w.ctx.m
+    alpha, beta = ([e._of(ctx, e._frob(ctx, e._x, j)) for e in v[-1:] + v[:-1]]
+                   for v in (w.alpha, w.beta))
+    return MixedWord._of(ctx, alpha, beta)
 
 
 def skew_closed(mat: MixedMatrix, autom: AutomorphismSpec) -> bool:
@@ -369,8 +370,13 @@ class SpanningSet(Record):
         return list(self.s1) + list(self.s2) + list(self.s3)
 
 
-def _shift_count(cofactor: Optional[SkewPoly]) -> int:
-    return 0 if cofactor is None or cofactor.is_zero else cofactor.degree
+def _completed(gens: SkewGenerators):
+    """The tuple, completed when it carries no cofactor, and the row
+    count of each block: its cofactor's degree, 0 when there is none."""
+    if gens.h_f is None and gens.h_g is None and gens.h_q is None:
+        gens = derive_cofactors(gens)
+    return gens, [0 if h is None or h.is_zero else h.degree
+                  for h in (gens.h_f, gens.h_g, gens.h_q)]
 
 
 def _padded(p: Optional[SkewPoly], n: int, zero) -> list:
@@ -390,15 +396,13 @@ def spanning_set(gens: SkewGenerators):
     -------
     (SpanningSet, MixedMatrix)
     """
-    if gens.h_f is None and gens.h_g is None and gens.h_q is None:
-        gens = derive_cofactors(gens)
+    gens, (n_f, n_g, n_q) = _completed(gens)
     autom, r, s = gens.autom, gens.r, gens.s
     ctx = autom.ctx
     zero_f, zero_r = ctx.field_zero(), ctx.ring_zero()
 
-    def shifts(a, b, cofactor):
+    def shifts(a, b, count):
         # Row i is x^i times the template (a, b): the i-th shift.
-        count = _shift_count(cofactor)
         rows = [MixedWord._of(ctx, _padded(a, r, zero_f),
                               _padded(b, s, zero_r))] if count else []
         while len(rows) < count:
@@ -407,11 +411,11 @@ def spanning_set(gens: SkewGenerators):
 
     s1 = s2 = s3 = ()
     if gens.f is not None:
-        s1 = shifts(gens.f, None, gens.h_f)
+        s1 = shifts(gens.f, None, n_f)
     if gens.g is not None:
-        s2 = shifts(gens.l, gens.g_plus_2a(), gens.h_g)
+        s2 = shifts(gens.l, gens.g_plus_2a(), n_g)
     if gens.q is not None:
-        s3 = shifts(gens.l1, 2 * gens.q, gens.h_q)
+        s3 = shifts(gens.l1, 2 * gens.q, n_q)
     ss = SpanningSet(s1, s2, s3)
     return ss, MixedMatrix(ctx, r, s, ss.rows)
 
@@ -423,8 +427,5 @@ def skew_code_cardinality(gens: SkewGenerators) -> int:
     the degree conditions on a generator tuple do not force on their
     own.  Enumerate the span to confirm it for a particular tuple.
     """
-    if gens.h_f is None and gens.h_g is None and gens.h_q is None:
-        gens = derive_cofactors(gens)
-    m = gens.autom.ctx.m
-    return 1 << m * (_shift_count(gens.h_f) + 2 * _shift_count(gens.h_g)
-                     + _shift_count(gens.h_q))
+    gens, (n_f, n_g, n_q) = _completed(gens)
+    return 1 << gens.autom.ctx.m * (n_f + 2 * n_g + n_q)

@@ -8,7 +8,8 @@ every underscore name a module defines at top level is read in that
 module, so a helper left behind by a refactor is flagged.  The
 enumeration oracle must stay independent of the structural modules it
 cross-checks, and it alone may import numpy: the package and the
-command line import it lazily.
+command line import it lazily.  No module imports ``dataclasses``:
+records derive from ``mixedcode.Record``.
 """
 
 import ast
@@ -158,6 +159,13 @@ def test_oracle_imports_nothing_from_skewcyclic():
 def test_only_the_oracle_imports_numpy(path):
     found = [n for n in imports(_parse(path)) if n.split(".")[0] == "numpy"]
     assert bool(found) == (path.name == "oracle.py"), f"{path.name}: {found}"
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    found = [n for n in imports(_parse(path))
+             if n.split(".")[0] == "dataclasses"]
+    assert not found, f"{path.name}: {found}"
 
 
 @pytest.mark.parametrize("name", ["__init__.py", "cli.py", "reference.py"])

@@ -2,11 +2,13 @@
 
 import pytest
 
+from artifact import galois
 from artifact import (CodeType, ContextMismatch, MixedMatrix, MixedWord,
                       OrthogonalityCheckFailed, ShapeMismatch,
                       StandardFormResult, inner_product, parity_check,
                       parse_gens, span_closure, spanning_set, standard_form)
-from artifact.reference import worked_matrix, worked_standard
+from artifact.reference import (four_four_matrix, seven_seven_matrix,
+                                worked_matrix, worked_standard)
 
 # A case i generator tuple whose spanning set has six doubled pivots.
 CASE_I_GENS = """m: 2
@@ -169,6 +171,29 @@ class TestStandardForm:
                             for i in range(ct.k2)]
         assert len(span_closure(mat, budget=1 << 22)) == \
             ct.cardinality(2) == 1 << 22
+
+    def test_row_operations_make_no_element_operation_per_entry(
+            self, monkeypatch):
+        # Zero columns appended to every row take part in each row
+        # operation, so a per-entry element operator would count more.
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                     "__mul__", "__rmul__", "__neg__"):
+            def counted(*args, _op=getattr(galois._Elem, name)):
+                calls.append(_op)
+                return _op(*args)
+            monkeypatch.setattr(galois._Elem, name, counted)
+        for mat in (four_four_matrix(), seven_seven_matrix()):
+            ctx, pad = mat.ctx, 5
+            padded = MixedMatrix(ctx, mat.r + pad, mat.s + pad, [
+                MixedWord(ctx, w.alpha + (ctx.field_zero(),) * pad,
+                          w.beta + (ctx.ring_zero(),) * pad) for w in mat])
+            counts = []
+            for m in (mat, padded):
+                del calls[:]
+                standard_form(m)
+                counts.append(len(calls))
+            assert counts[0] == counts[1] < len(mat) * (mat.r + mat.s)
 
 
 class TestParityCheck:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 import random
 import tracemalloc
 from collections import Counter
@@ -284,6 +285,32 @@ class TestSpanClosure:
         assert isinstance(code.packed, tuple)
         assert len(code) == 8
         assert row in code
+
+
+class TestRecords:
+    """The oracle's results are frozen records of the package."""
+
+    def test_spans_pickle_and_neither_hash_nor_change(self, ctx2, ctx3):
+        narrow = span_closure(r1s1_rows(ctx2))
+        wide = span_closure([MixedWord.from_ints(ctx3, [1] + [0] * 21, [])])
+        assert isinstance(narrow.packed, np.ndarray)
+        assert isinstance(wide.packed, tuple)
+        for code in (narrow, wide):
+            copy = pickle.loads(pickle.dumps(code))
+            assert copy == code
+            assert type(copy.packed) is type(code.packed)
+            with pytest.raises(TypeError):
+                hash(code)
+            with pytest.raises(AttributeError):
+                code.packed = ()
+
+    def test_classification_fields(self):
+        found = oracle.Classification("i")
+        assert (found.g, found.a, found.q) == (None, None, None)
+        assert found == oracle.Classification(case="i", q=None)
+        assert found != oracle.Classification("ii")
+        with pytest.raises(AttributeError):
+            found.case = "ii"
 
 
 class TestSpanProperties:

@@ -81,3 +81,12 @@ def test_import_leaves_dataclasses_and_inspect_unloaded():
     res = subprocess.run([sys.executable, "-c", script],
                          capture_output=True, text=True, check=True)
     assert res.stdout.split() == ["False", "False"]
+
+
+def test_oracle_import_leaves_dataclasses_unloaded():
+    # numpy itself loads inspect, so only dataclasses is checked here.
+    script = ("import sys, artifact.oracle\n"
+              "print('dataclasses' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.split() == ["False"]

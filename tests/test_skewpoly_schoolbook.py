@@ -1,4 +1,5 @@
-"""Skew products, right division and the pairing against a schoolbook.
+"""Skew products, right division, the pairing and word arithmetic
+against a schoolbook.
 
 The schoolbook below works on coefficient vectors: an element of
 GR(4, m) is a tuple ``(v_0, ..., v_{m-1})`` read in ``Z4[x]/(h)``, an
@@ -187,3 +188,36 @@ def test_pairing_matches_the_schoolbook(m, r, s, data):
     u, v = (MixedWord(ctx, [ctx.field(a) for a in alpha],
                       [ctx.ring(b) for b in beta]) for alpha, beta in words)
     assert inner_product(u, v).coeffs == want
+
+
+@given(st.sampled_from(sorted(MODULI)), st.integers(0, 4), st.data())
+def test_word_arithmetic_matches_the_schoolbook(m, r, data):
+    # A scalar acts on the binary side as its image mod 2.
+    s = data.draw(st.integers(0 if r else 1, 4))
+    ctx = SPECS[(m, 1)].ctx
+    field, ring = _book(m, 1, False), _book(m, 1, True)
+    (ua, ub), (va, vb) = [
+        (data.draw(st.lists(field.vector, min_size=r, max_size=r)),
+         data.draw(st.lists(ring.vector, min_size=s, max_size=s)))
+        for _ in range(2)]
+    gamma = data.draw(ring.vector)
+    gamma_bar = tuple(c % 2 for c in gamma)
+    u, v = (MixedWord(ctx, [ctx.field(a) for a in alpha],
+                      [ctx.ring(b) for b in beta])
+            for alpha, beta in ((ua, ub), (va, vb)))
+
+    def vectors(w):
+        return [a.coeffs for a in w.alpha], [b.coeffs for b in w.beta]
+
+    def neg(vec, q):
+        return tuple(-c % q for c in vec)
+
+    assert vectors(u + v) == ([_add(a, d, 2) for a, d in zip(ua, va)],
+                              [_add(b, e, 4) for b, e in zip(ub, vb)])
+    assert vectors(u - v) == (
+        [_add(a, neg(d, 2), 2) for a, d in zip(ua, va)],
+        [_add(b, neg(e, 4), 4) for b, e in zip(ub, vb)])
+    assert vectors(-u) == ([neg(a, 2) for a in ua], [neg(b, 4) for b in ub])
+    assert vectors(u.scale(ctx.ring(gamma))) == (
+        [_mul(gamma_bar, a, field.h, 2) for a in ua],
+        [_mul(gamma, b, ring.h, 4) for b in ub])
