@@ -24,8 +24,9 @@ Each formula is written once, as a kernel on packed ints: ``_add``,
 ``_neg`` and ``_mul`` of :class:`RingElem` and :class:`FieldElem` and
 the shared ``_frob``.  The element operators call them, and so do the
 loops of :mod:`~artifact.skewpoly`, ``mixedcode.MixedWord._add_scaled``
-(the word primitive), ``mixedcode.inner_product`` and ``theta_shift``,
-which wrap their results with ``_of``, skipping the constructor checks.
+(the word primitive), ``mixedcode._pairing`` (the one pairing), the rows
+of ``parity_check``, ``theta_shift`` and the text grammar of
+:mod:`~artifact.textio`, which wrap their results with ``_of``.
 
 The tables hold O(2^m) entries, filled by one walk over the powers of
 ``xi`` in plain Z4 coefficient arithmetic; coefficient vectors appear
@@ -96,6 +97,9 @@ class _Elem:
 
     def __setattr__(self, name, value):
         raise AttributeError("elements are immutable")
+
+    def __reduce__(self):
+        return type(self), (self.ctx, self.coeffs)
 
     @classmethod
     def _of(cls, ctx, x):
@@ -494,6 +498,9 @@ class AutomorphismSpec:
 
     def __setattr__(self, name, value):
         raise AttributeError("automorphism specs are immutable")
+
+    def __reduce__(self):
+        return AutomorphismSpec, (self.ctx, self.t)
 
     def __eq__(self, other):
         if not isinstance(other, AutomorphismSpec):

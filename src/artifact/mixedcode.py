@@ -200,19 +200,31 @@ class MixedWord(Record):
         return f"MixedWord({self})"
 
 
+def _packed(w: MixedWord) -> tuple:
+    """The packed ints of ``w``'s binary and quaternary entries."""
+    return [a._x for a in w.alpha], [b._x for b in w.beta]
+
+
+def _pairing(ctx: RingContext, u: tuple, v: tuple) -> int:
+    """Packed ``<u, v>`` of two :func:`_packed` words; zero entries are
+    skipped, as packed 0 absorbs ``_mul`` and is neutral for ``_add``."""
+    fadd, fmul = FieldElem._add, FieldElem._mul
+    radd, rmul = RingElem._add, RingElem._mul
+    f = r = 0
+    for a, d in zip(u[0], v[0]):
+        if a and d:
+            f = fadd(ctx, f, fmul(ctx, a, d))
+    for b, e in zip(u[1], v[1]):
+        if b and e:
+            r = radd(ctx, r, rmul(ctx, b, e))
+    # Packed f is also the ring element T(f), and 2*T(f) = 2*lift(f).
+    return radd(ctx, r, rmul(ctx, f, RingElem._const(ctx, 2)))
+
+
 def inner_product(u: MixedWord, v: MixedWord) -> RingElem:
     """Quaternary-valued pairing: doubled binary dot plus quaternary dot."""
     u._check(v)
-    ctx, fadd, fmul = u.ctx, FieldElem._add, FieldElem._mul
-    radd, rmul = RingElem._add, RingElem._mul
-    f = r = 0
-    for a, d in zip(u.alpha, v.alpha):
-        f = fadd(ctx, f, fmul(ctx, a._x, d._x))
-    for b, e in zip(u.beta, v.beta):
-        r = radd(ctx, r, rmul(ctx, b._x, e._x))
-    # Packed f is also the ring element T(f), and 2*T(f) = 2*lift(f).
-    two = RingElem._const(ctx, 2)
-    return RingElem._of(ctx, radd(ctx, r, rmul(ctx, f, two)))
+    return RingElem._of(u.ctx, _pairing(u.ctx, _packed(u), _packed(v)))
 
 
 class MixedMatrix(Record):
@@ -384,36 +396,47 @@ def parity_check(sf: StandardFormResult) -> MixedMatrix:
     g, ct = sf.g_std, sf.code_type
     ctx = g.ctx
     r, s, k0, k1, k2 = ct.r, ct.s, ct.k0, ct.k1, ct.k2
-    g0, g1, g2 = g[:k0], g[k0:k0 + k1], g[k0 + k1:]
-    f0, f1 = ctx.field_zero(), ctx.field_one()
-    r0, r1 = ctx.ring_zero(), ctx.ring_one()
+    m, fneg = ctx.m, FieldElem._neg
+    radd, rneg, rmul = RingElem._add, RingElem._neg, RingElem._mul
+    one, two = RingElem._const(ctx, 1), RingElem._const(ctx, 2)
+    gx = [_packed(w) for w in g]
+    g0, g1, g2 = gx[:k0], gx[k0:k0 + k1], gx[k0 + k1:]
 
-    rows = []
+    # Packed entries of each row.  A field entry a read as a ring element
+    # is T(a), and 2*T(a) = 2*lift(a); the half of a doubled 2*T(b) is
+    # x >> m.  Packed 0 and 1 are the same on either side.
+    hx = []
     # Rows dual to the binary information set.
     for c in range(k0, r):
-        alpha = [-w.alpha[c] for w in g0] + \
-                [f1 if j == c else f0 for j in range(k0, r)]
-        beta = [-(2 * w.alpha[c].lift()) for w in g1] + [r0] * (s - k1)
-        rows.append(MixedWord._of(ctx, alpha, beta))
+        hx.append(([fneg(ctx, a[c]) for a, _ in g0] +
+                   [one if j == c else 0 for j in range(k0, r)],
+                   [rneg(ctx, rmul(ctx, a[c], two)) for a, _ in g1] +
+                   [0] * (s - k1)))
     # Rows dual to the free quaternary columns.
     for c in range(k1 + k2, s):
-        alpha = [-w.beta[c].halve() for w in g0] + [f0] * (r - k0)
-        a12 = [w.beta[c].halve().lift() for w in g2]
-        beta = [sum((a * b for a, b in zip(a12, w.beta[k1:k1 + k2])),
-                    -w.beta[c]) for w in g1]
-        beta += [-a for a in a12]
-        beta += [r1 if j == c else r0 for j in range(k1 + k2, s)]
-        rows.append(MixedWord._of(ctx, alpha, beta))
+        a12 = [ctx._from_index(ctx._spread[b[c] >> m]) for _, b in g2]
+        beta = []
+        for _, b in g1:
+            acc = rneg(ctx, b[c])
+            for a, e in zip(a12, b[k1:k1 + k2]):
+                acc = radd(ctx, acc, rmul(ctx, a, e))
+            beta.append(acc)
+        hx.append(([fneg(ctx, b[c] >> m) for _, b in g0] + [0] * (r - k0),
+                   beta + [rneg(ctx, a) for a in a12] +
+                   [one if j == c else 0 for j in range(k1 + k2, s)]))
     # Rows dual to the doubled pivots.
     for c in range(k1, k1 + k2):
-        beta = [-(2 * w.beta[c]) for w in g1]
-        beta += [2 * r1 if j == c else r0 for j in range(k1, s)]
-        rows.append(MixedWord._of(ctx, [f0] * r, beta))
+        hx.append(([0] * r,
+                   [rneg(ctx, rmul(ctx, two, b[c])) for _, b in g1] +
+                   [two if j == c else 0 for j in range(k1, s)]))
 
-    h = MixedMatrix(ctx, r, s, rows)
-    for g_row in g:
-        for h_row, pairing in zip(h, syndrome(h, g_row)):
-            if pairing:
+    fof, rof = FieldElem._of, RingElem._of
+    h = MixedMatrix(ctx, r, s, [
+        MixedWord._of(ctx, [fof(ctx, x) for x in alpha],
+                      [rof(ctx, x) for x in beta]) for alpha, beta in hx])
+    for g_row, u in zip(g, gx):
+        for h_row, v in zip(h, hx):
+            if pairing := _pairing(ctx, u, v):
                 raise OrthogonalityCheckFailed(
-                    f"<{g_row}, {h_row}> = {pairing}")
+                    f"<{g_row}, {h_row}> = {rof(ctx, pairing)}")
     return h

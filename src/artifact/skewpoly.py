@@ -52,6 +52,9 @@ class SkewPoly:
     def __setattr__(self, name, value):
         raise AttributeError("skew polynomials are immutable")
 
+    def __reduce__(self):
+        return SkewPoly, (self.autom, self.coeffs, self.ring)
+
     def _fill(self, autom: AutomorphismSpec, vec: list, ring: bool):
         while vec and not vec[-1]:
             vec.pop()

@@ -20,18 +20,19 @@ than the interpreter's int-string limit (4300 by default).  `w` denotes
 the multiplicative generator of the coefficient ring or field; integer
 coefficients reduce mod 4 or mod 2 by context, so subtraction is
 accepted and normalised.
-Emission is canonical: ascending powers, zero terms dropped, unit
-coefficients omitted, composite coefficients parenthesised.  Parsing an
-emitted string gives back an equal value and re-emitting it is a
-fixpoint.
+Values are evaluated on the packed ints of :mod:`~artifact.galois`
+through its kernels.  Emission is canonical: ascending powers, zero
+terms dropped, unit coefficients omitted, composite coefficients
+parenthesised.  Parsing an emitted string gives back an equal value
+and re-emitting it is a fixpoint.
 
 A matrix file holds `m:`, `h:`, `r:`, `s:` headers in any order, a
 `rows:` marker, then one line per row, `a0 a1 | b0 b1 b2`, entries in
 the element grammar.  A generator file holds the same headers plus
 `t:` (default 1) and any of `f:`, `l:`, `g:`, `a:`, `l1:`, `q:` in the
 polynomial grammar; `f`, `l`, `l1` are binary, `g`, `a`, `q`
-quaternary.  `h:` is an `int_poly`.  Positions in errors are 0-based
-line and column.
+quaternary.  `h:` is an `int_poly`.  A matrix file parses each
+distinct entry once.  Positions in errors are 0-based line and column.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ import sys
 from typing import Tuple
 
 from .errors import ParseError
-from .galois import AutomorphismSpec, RingContext, int_poly_str
+from .galois import (AutomorphismSpec, FieldElem, RingContext, RingElem,
+                     int_poly_str)
 from .mixedcode import MixedMatrix, MixedWord
 from .skewcyclic import SkewGenerators
 from .skewpoly import SkewPoly
@@ -146,16 +148,16 @@ class _Parser:
             raise self.error(f"unexpected trailing {text!r}", offset)
 
 
-def _sum(p: _Parser, term):
+def _sum(p: _Parser, term, neg):
     """``['-'] term (('+'|'-') term)*``.
 
     Each term is a (coefficient, exponent) pair; it is yielded with its
-    sign applied to the coefficient.
+    sign applied to the coefficient by ``neg``.
     """
     negate = p.take("-")
     while True:
         c, k = term()
-        yield (-c if negate else c), k
+        yield (neg(c) if negate else c), k
         if p.peek() not in ("+", "-"):
             return
         negate = p.next() == "-"
@@ -183,76 +185,71 @@ def _monomial(p: _Parser, atom: str) -> Tuple[int, int]:
     p.fail("a term" if atom == "w" else "an integer term")
 
 
-def _w_term(ctx: RingContext, ring: bool, c: int, k: int):
-    """``c*w^k`` by square and multiply; the int c itself when k is 0."""
-    if not k:
-        return c
-    if ctx.m == 1:
-        # Degree one: w is the root of h itself, -h0.
-        base = ctx.ring((-ctx.h[0],)) if ring else ctx.field((ctx.h[0],))
-    else:
-        base = ctx.ring((0, 1)) if ring else ctx.field((0, 1))
-    while k:
-        if k & 1:
-            c = c * base
-        k >>= 1
-        if k:
-            base = base * base
-    return c
+def _w_term(ctx: RingContext, kind, c: int, k: int) -> int:
+    """Packed ``c*w^k`` of the element class ``kind``."""
+    # Degree one: w is the root of h itself, -h0.  Otherwise w is the
+    # Teichmüller xi, and packed xi^k is the field's w^k.
+    w = kind._const(ctx, pow(-ctx.h[0], k, 4)) if ctx.m == 1 \
+        else ctx._exp[k % ctx._n]
+    return kind._mul(ctx, kind._const(ctx, c), w)
 
 
-def _element(p: _Parser, ctx: RingContext, ring: bool):
-    acc = ctx.ring_zero() if ring else ctx.field_zero()
-    for c, k in _sum(p, lambda: _monomial(p, "w")):
-        acc = acc + _w_term(ctx, ring, c, k)
+def _element(p: _Parser, ctx: RingContext, kind) -> int:
+    """Packed value of ``sum(mono('w'))``."""
+    acc = 0
+    for c, k in _sum(p, lambda: _monomial(p, "w"), int.__neg__):
+        acc = kind._add(ctx, acc, _w_term(ctx, kind, c, k))
     return acc
 
 
-def _pterm(p: _Parser, ctx: RingContext, ring: bool):
-    """One polynomial term as (coefficient, power of x)."""
+def _pterm(p: _Parser, ctx: RingContext, kind):
+    """One polynomial term as (packed coefficient, power of x)."""
     if p.peek() == "x" or (p.peek() == "INT" and p.peek(1) == "*"
                            and p.peek(2) != "w"):
-        return _monomial(p, "x")
+        c, k = _monomial(p, "x")
+        return kind._const(ctx, c), k
     if p.take("("):
-        coeff = _element(p, ctx, ring)
+        coeff = _element(p, ctx, kind)
         p.expect(")", "')'")
     else:
-        coeff = _w_term(ctx, ring, *_monomial(p, "w"))
+        coeff = _w_term(ctx, kind, *_monomial(p, "w"))
     return coeff, (_power(p, "x") if p.take("*") else 0)
 
 
-def _by_power(p: _Parser, term, zero) -> list:
+def _by_power(p: _Parser, term, add, neg) -> list:
     """Ascending coefficients of a sum of (coefficient, power) terms."""
     acc = {}
-    for c, k in _sum(p, term):
-        acc[k] = acc.get(k, zero) + c
+    for c, k in _sum(p, term, neg):
+        acc[k] = add(acc.get(k, 0), c)
     p.done()
-    return [acc.get(k, zero) for k in range(max(acc) + 1)]
+    return [acc.get(k, 0) for k in range(max(acc) + 1)]
 
 
 def parse_element(text: str, ctx: RingContext, ring: bool = True,
                   line: int = 0, col: int = 0):
     """An element from its text form; `ring` picks Z4[w] over Z2[w]."""
+    kind = RingElem if ring else FieldElem
     p = _Parser(text, line, col)
-    v = _element(p, ctx, ring)
+    x = _element(p, ctx, kind)
     p.done()
-    return v
+    return kind._of(ctx, x)
 
 
 def parse_poly(text: str, autom: AutomorphismSpec, ring: bool = True,
                line: int = 0, col: int = 0) -> SkewPoly:
     """A skew polynomial from its text form."""
-    ctx = autom.ctx
+    ctx, kind = autom.ctx, RingElem if ring else FieldElem
     p = _Parser(text, line, col)
-    zero = ctx.ring_zero() if ring else ctx.field_zero()
-    return SkewPoly(autom, _by_power(p, lambda: _pterm(p, ctx, ring), zero),
-                    ring)
+    return SkewPoly._packed(autom, _by_power(
+        p, lambda: _pterm(p, ctx, kind), lambda x, y: kind._add(ctx, x, y),
+        lambda x: kind._neg(ctx, x)), ring)
 
 
 def parse_int_poly(text: str, line: int = 0, col: int = 0) -> Tuple[int, ...]:
     """Ascending integer coefficients of a plain polynomial in x."""
     p = _Parser(text, line, col)
-    return tuple(_by_power(p, lambda: _monomial(p, "x"), 0))
+    return tuple(_by_power(p, lambda: _monomial(p, "x"), int.__add__,
+                           int.__neg__))
 
 
 _KEY_RE = re.compile(r"^\s*([a-z0-9]+)\s*:\s*(.*?)\s*$")
@@ -309,8 +306,18 @@ def _read_header(text: str, keys, marker=None):
 
 
 def parse_matrix(text: str) -> Tuple[RingContext, MixedMatrix]:
-    """A matrix file: context headers, `rows:`, then the rows."""
+    """A matrix file: context headers, `rows:`, then the rows; each
+    distinct (entry text, side) is parsed once, at its first occurrence."""
     ctx, r, s, _, row_lines = _read_header(text, _CTX_KEYS, "rows")
+    seen = {}
+
+    def entry(mt, ring, lineno, start):
+        key = mt.group(), ring
+        if key not in seen:
+            seen[key] = parse_element(key[0], ctx, ring, lineno,
+                                      start + mt.start())
+        return seen[key]
+
     rows = []
     for raw, lineno in row_lines:
         bar = raw.find("|")
@@ -319,10 +326,9 @@ def parse_matrix(text: str) -> Tuple[RingContext, MixedMatrix]:
         if raw.find("|", bar + 1) >= 0:
             raise ParseError("row has more than one '|'", lineno,
                              raw.find("|", bar + 1))
-        alpha = [parse_element(mt.group(), ctx, False, lineno, mt.start())
+        alpha = [entry(mt, False, lineno, 0)
                  for mt in re.finditer(r"\S+", raw[:bar])]
-        beta = [parse_element(mt.group(), ctx, True, lineno,
-                              bar + 1 + mt.start())
+        beta = [entry(mt, True, lineno, bar + 1)
                 for mt in re.finditer(r"\S+", raw[bar + 1:])]
         if len(alpha) != r:
             raise ParseError(f"expected {r} binary entries, found "
@@ -330,7 +336,7 @@ def parse_matrix(text: str) -> Tuple[RingContext, MixedMatrix]:
         if len(beta) != s:
             raise ParseError(f"expected {s} quaternary entries, found "
                              f"{len(beta)}", lineno, bar + 1)
-        rows.append(MixedWord(ctx, alpha, beta))
+        rows.append(MixedWord._of(ctx, alpha, beta))
     return ctx, MixedMatrix(ctx, r, s, rows)
 
 

@@ -9,7 +9,9 @@ module, so a helper left behind by a refactor is flagged.  The
 enumeration oracle must stay independent of the structural modules it
 cross-checks, and it alone may import numpy: the package and the
 command line import it lazily.  No module imports ``dataclasses``:
-records derive from ``mixedcode.Record``.
+records derive from ``mixedcode.Record``.  The modules ``import
+artifact`` loads import no standard-library module beyond the few they
+use, because each one adds to the import time of every command.
 """
 
 import ast
@@ -173,3 +175,30 @@ def test_oracle_not_imported_on_load(name):
     found = [n for n in imports(_parse(_SRC / name), on_load_only=True)
              if n.rsplit(".", 1)[-1] == "oracle"]
     assert not found, f"{name} imports {found} when it loads"
+
+
+# The package modules that ``import artifact`` loads, and the standard
+# library modules they may import.  Without bytecode caches an import
+# costs its compile time, which every cold start pays.
+_LOAD_PATH = ("__init__", "errors", "galois", "mixedcode", "skewcyclic",
+              "skewpoly", "textio")
+_LOAD_PATH_STDLIB = {"__future__", "re", "sys", "typing"}
+
+
+def test_load_path_is_what_the_package_loads():
+    found, todo = set(), ["__init__"]
+    while todo:
+        name = todo.pop()
+        if name not in found:
+            found.add(name)
+            todo += [n[1:].split(".")[0] for n in imports(
+                _parse(_SRC / f"{name}.py"), on_load_only=True)
+                if n.startswith(".")]
+    assert found == set(_LOAD_PATH)
+
+
+@pytest.mark.parametrize("name", _LOAD_PATH)
+def test_load_path_imports_only_its_standard_library_set(name):
+    found = {n.split(".")[0] for n in imports(_parse(_SRC / f"{name}.py"))
+             if not n.startswith(".")}
+    assert found <= _LOAD_PATH_STDLIB, f"{name}.py: {found}"

@@ -1,10 +1,12 @@
 """Mixed words, standard forms, types and duals."""
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from artifact import galois
+from artifact import galois, mixedcode
 from artifact import (CodeType, ContextMismatch, MixedMatrix, MixedWord,
-                      OrthogonalityCheckFailed, ShapeMismatch,
+                      OrthogonalityCheckFailed, RingContext, ShapeMismatch,
                       StandardFormResult, inner_product, parity_check,
                       parse_gens, span_closure, spanning_set, standard_form)
 from artifact.reference import (four_four_matrix, seven_seven_matrix,
@@ -231,3 +233,62 @@ class TestParityCheck:
         with pytest.raises(OrthogonalityCheckFailed) as info:
             parity_check(unreduced)
         assert str(info.value) == "<1 1+w | 2+2*w 2 2, 1 1 | 0 3 1> = 2*w"
+
+
+_AUDIT_CTXS = [RingContext(1, (1, 1)), RingContext(2, (1, 1, 1)),
+               RingContext(3, (3, 1, 2, 1))]
+
+
+@given(st.data())
+def test_audit_of_a_perturbed_standard_form(data):
+    """One entry of one row of a standard form changed: ``parity_check``
+    returns rows pairing to zero with every row, or names the first
+    nonzero pair in (g row, h row) order with its pairing."""
+    ctx = data.draw(st.sampled_from(_AUDIT_CTXS), label="ctx")
+    r = data.draw(st.integers(0, 4), label="r")
+    s = data.draw(st.integers(0 if r else 1, 4), label="s")
+    # Scalars 0, 1 and 2 give zero, free and doubled entries.
+    field = st.builds(lambda i, c: ctx.field_from_index(i * c),
+                      st.integers(0, (1 << ctx.m) - 1), st.integers(0, 1))
+    ring = st.builds(lambda i, c: c * ctx.ring_from_index(i),
+                     st.integers(0, (1 << 2 * ctx.m) - 1),
+                     st.integers(0, 2))
+    rows = data.draw(st.lists(st.builds(
+        lambda a, b: MixedWord(ctx, a, b), st.lists(field, min_size=r,
+                                                    max_size=r),
+        st.lists(ring, min_size=s, max_size=s)), min_size=1, max_size=5))
+    sf = standard_form(MixedMatrix(ctx, r, s, rows))
+    assume(len(sf.g_std))
+    g = list(sf.g_std)
+    i = data.draw(st.integers(0, len(g) - 1), label="row")
+    col = data.draw(st.integers(0, r + s - 1), label="column")
+    alpha, beta = list(g[i].alpha), list(g[i].beta)
+    if col < r:
+        alpha[col] = data.draw(field, label="entry")
+    else:
+        beta[col - r] = data.draw(ring, label="entry")
+    g[i] = MixedWord(ctx, alpha, beta)
+    g = MixedMatrix(ctx, r, s, g)
+
+    built = []
+
+    def recorded(*args):
+        built.append(MixedMatrix(*args))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mixedcode, "MixedMatrix", recorded)
+        try:
+            h, error = parity_check(StandardFormResult(
+                g, sf.code_type, sf.bin_perm, sf.quat_perm)), None
+        except OrthogonalityCheckFailed as exc:
+            h, error = built[-1], exc
+    # inner_product has its own schoolbook witness in
+    # test_skewpoly_schoolbook.py.
+    pairs = [(g_row, h_row, inner_product(g_row, h_row))
+             for g_row in g for h_row in h]
+    nonzero = [pair for pair in pairs if pair[2]]
+    if error is None:
+        assert not nonzero
+    else:
+        assert nonzero and str(error) == "<{}, {}> = {}".format(*nonzero[0])

@@ -19,6 +19,7 @@ from artifact import (AutomorphismSpec, BudgetExceeded, ContextMismatch,
                       min_hamming_distance, parity_check, skew_closed,
                       span_closure, standard_form, syndrome, theta_shift)
 from artifact import oracle
+from artifact.reference import four_four_matrix, gens_seven_seven
 
 _CTX1 = RingContext(1, (1, 1))
 _CTX2 = RingContext(2, (1, 1, 1))
@@ -303,6 +304,21 @@ class TestRecords:
                 hash(code)
             with pytest.raises(AttributeError):
                 code.packed = ()
+
+    def test_records_holding_elements_pickle(self, ctx2, autom2):
+        # Elements, skew polynomials and automorphism specs pickle through
+        # their checking constructors, so the records holding them do.
+        rows = [MixedWord.from_ints(ctx2, [], [1, 2, 1, 0])]
+        found = classify_z4_skew_cyclic(
+            span_closure(rows, autom=autom2, skew=True), autom2)
+        assert found.g is not None and found.a is not None
+        for value in (MixedWord.from_ints(ctx2, [1], [2]),
+                      MixedWord(ctx2, [ctx2.field((0, 1))],
+                                [ctx2.ring((3, 2))]),
+                      gens_seven_seven(), standard_form(four_four_matrix()),
+                      found):
+            copy = pickle.loads(pickle.dumps(value))
+            assert copy == value and str(copy) == str(value)
 
     def test_classification_fields(self):
         found = oracle.Classification("i")

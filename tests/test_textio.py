@@ -1,5 +1,7 @@
 """Text grammars: parsing, canonical emission, round trips."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 from artifact import (AutomorphismSpec, MixedMatrix, MixedWord, ParseError,
                       RingContext, SkewGenerators, SkewPoly, emit_gens,
                       emit_matrix, int_poly_str, parse_element, parse_gens,
-                      parse_int_poly, parse_matrix, parse_poly)
+                      parse_int_poly, parse_matrix, parse_poly,
+                      standard_form, textio)
 from artifact import reference
 
 _CTX = RingContext(2, (1, 1, 1))
@@ -235,6 +238,91 @@ class TestMatrixFiles:
         text = "m: 2\nh: 1+x+x^2\nr: 1\ns: 1\nrows:\n1 w\n"
         with pytest.raises(ParseError):
             parse_matrix(text)
+
+    def test_repeated_bad_entry_reports_its_first_occurrence(self):
+        text = ("m: 2\nh: 1+x+x^2\nr: 1\ns: 2\nrows:\n"
+                "1 | 2  w^\nw^ | w^ w^\n")
+        with pytest.raises(ParseError) as info:
+            parse_matrix(text)
+        assert info.value.message == "expected an exponent, found end of input"
+        assert (info.value.line, info.value.column) == (5, 9)
+
+    def test_each_distinct_entry_parsed_once(self, monkeypatch):
+        text = emit_matrix(standard_form(reference.seven_seven_matrix()).g_std)
+        calls = Counter()
+
+        def counted(entry, ctx, ring, *where):
+            calls[entry, ring] += 1
+            return parse_element(entry, ctx, ring, *where)
+
+        monkeypatch.setattr(textio, "parse_element", counted)
+        _, mat = parse_matrix(text)
+        rows = text.split("rows:\n")[1].splitlines()
+        distinct = {(e, ring) for row in rows
+                    for ring, side in enumerate(row.split("|"))
+                    for e in side.split()}
+        assert len(mat) * (mat.r + mat.s) > 2 * len(distinct)
+        assert calls == Counter(dict.fromkeys(distinct, 1))
+
+
+# Both m = 1 moduli (w = 3 and w = 1 in Z4), then m = 2 and m = 3.
+_SPELLING_CTXS = [RingContext(1, (1, 1)), RingContext(1, (3, 1)), _CTX,
+                  RingContext(3, (3, 1, 2, 1))]
+
+_TERMS = st.lists(st.tuples(
+    st.sampled_from("+-"), st.integers(0, 12), st.booleans(),
+    st.one_of(st.none(), st.integers(0, 9), st.integers(10 ** 6, 10 ** 30))),
+    min_size=1, max_size=3)
+
+
+def spell(terms):
+    """Text of the ``(sign, c, bare, k)`` terms: ``c``, ``c*w^k`` or, when
+    ``bare``, ``w^k``; a leading ``+`` is left out."""
+    text = ""
+    for n, (sign, c, bare, k) in enumerate(terms):
+        if n or sign == "-":
+            text += sign
+        if k is None:
+            text += str(c)
+        else:
+            text += ("" if bare else f"{c}*") + ("w" if k == 1 else f"w^{k}")
+    return text
+
+
+def schoolbook_value(terms, ctx, ring):
+    """The value of :func:`spell`'s text by element operators."""
+    w = ctx.ring((-ctx.h[0],) if ctx.m == 1 else (0, 1))
+    acc = ctx.ring_zero()
+    for sign, c, bare, k in terms:
+        term = ctx.ring((1 if k is not None and bare else c,))
+        base, k = w, k or 0
+        while k:
+            if k & 1:
+                term = term * base
+            base, k = base * base, k >> 1
+        acc = acc - term if sign == "-" else acc + term
+    return acc if ring else acc.reduce_mod2()
+
+
+@given(st.sampled_from(_SPELLING_CTXS), st.lists(_TERMS, min_size=1,
+                                                 max_size=4),
+       st.integers(0, 3), st.integers(0, 3), st.data())
+def test_repeated_spellings_parse_as_single_entries(ctx, pool, r, s, data):
+    s = s if r else max(s, 1)
+    picks = st.integers(0, len(pool) - 1)
+    rows = [[data.draw(picks) for _ in range(r + s)]
+            for _ in range(data.draw(st.integers(1, 4)))]
+    text = "".join(
+        [f"m: {ctx.m}\nh: {int_poly_str(ctx.h)}\nr: {r}\ns: {s}\nrows:\n"]
+        + [" ".join(spell(pool[i]) for i in row[:r]) + " | "
+           + " ".join(spell(pool[i]) for i in row[r:]) + "\n"
+           for row in rows])
+    _, mat = parse_matrix(text)
+    for word, row in zip(mat, rows):
+        for j, (entry, i) in enumerate(zip(word.alpha + word.beta, row)):
+            ring = j >= r
+            assert entry == parse_element(spell(pool[i]), ctx, ring) \
+                == schoolbook_value(pool[i], ctx, ring)
 
 
 class TestGensFiles:
