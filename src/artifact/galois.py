@@ -21,12 +21,14 @@ so with the field's log/antilog tables every operation is O(1)::
     (a, b)^-1 = (1/a, b/a^2)            phi^j (a, b) = (a^(2^j), b^(2^j))
 
 Each formula is written once, as a kernel on packed ints: ``_add``,
-``_neg`` and ``_mul`` of :class:`RingElem` and :class:`FieldElem` and
-the shared ``_frob``.  The element operators call them, and so do the
-loops of :mod:`~artifact.skewpoly`, ``mixedcode.MixedWord._add_scaled``
-(the word primitive), ``mixedcode._pairing`` (the one pairing), the rows
-of ``parity_check``, ``theta_shift`` and the text grammar of
-:mod:`~artifact.textio`, which wrap their results with ``_of``.
+``_neg``, ``_mul`` and ``_w_term`` (``c*w^k``) of :class:`RingElem` and
+:class:`FieldElem`, the shared ``_frob``, the mod-2 image ``_mod2`` and
+half ``_half`` of a ring element and the ``_lift`` of a field element.
+The element operators call them, and so do the loops of
+:mod:`~artifact.skewpoly`, ``mixedcode.MixedWord._add_scaled`` (the word
+primitive), ``mixedcode._pairing`` (the one pairing), the rows of
+``parity_check``, ``theta_shift`` and the text grammar of
+:mod:`~artifact.textio`; no other module reads the packed layout.
 
 The tables hold O(2^m) entries, filled by one walk over the powers of
 ``xi`` in plain Z4 coefficient arithmetic; coefficient vectors appear
@@ -38,7 +40,8 @@ The modulus must be monic, irreducible and primitive mod 2, and (for
 ``m >= 2``) the Hensel lift of its reduction, ``xi^(2^m - 1) = 1``: then
 ``xi`` is Teichmüller and ``xi -> xi^2`` is a ring automorphism.  Its
 powers are exposed through :class:`AutomorphismSpec` and are the twists
-used by the skew polynomial rings built on top of this module.
+used by the skew polynomial rings built on top of this module.  Specs,
+skew polynomials, words and results are all ``Record`` values.
 
 Example
 -------
@@ -83,6 +86,69 @@ def int_poly_str(coeffs: Sequence[int], atom: str = "x") -> str:
     return "+".join(terms) or "0"
 
 
+class Record:
+    """Base of the frozen value records of this package.
+
+    A subclass names its fields in ``__slots__``, their defaults in
+    ``_defaults`` and its checks in ``_validate``.  Records take fields by
+    position or name, compare, hash and pickle by class and values,
+    refuse changes, and :meth:`replace` validates its copy again.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            given = dict(zip(names, args))
+            values = {**self._defaults, **given, **kwargs}
+            if len(args) > len(names) or given.keys() & kwargs.keys() \
+                    or values.keys() != set(names):
+                raise TypeError(f"{type(self).__name__} takes the fields "
+                                f"{', '.join(names)}, each once")
+            args = [values[name] for name in names]
+        self._fill(args)._validate()
+
+    def _fill(self, values):
+        """Set the fields to ``values``, unchecked."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
+
+    def _validate(self):
+        """Raise when the fields do not describe a valid record."""
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return other is self or self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, validated again."""
+        return type(self)(**{**dict(zip(self.__slots__, self._values())),
+                             **changes})
+
+
 class _Elem:
     """Shared behaviour of ring and field elements; ``_x`` is packed."""
 
@@ -113,6 +179,14 @@ class _Elem:
         a, b = x & n, x >> ctx.m  # b is 0 for a field element
         return (exp[(log[a] << j) % n] if a else 0) \
             | (exp[(log[b] << j) % n] if b else 0) << ctx.m
+
+    @classmethod
+    def _w_term(cls, ctx, c, k):
+        """Packed ``c*w^k``: at m = 1, w is the root -h0 of h; otherwise
+        it is the Teichmüller xi, whose packed powers are the field's."""
+        w = cls._const(ctx, pow(-ctx.h[0], k, 4)) if ctx.m == 1 \
+            else ctx._exp[k % ctx._n]
+        return cls._mul(ctx, cls._const(ctx, c), w)
 
     def _operand(self, other):
         """Packed int of ``other`` in this context, or None."""
@@ -220,6 +294,14 @@ class RingElem(_Elem):
         return exp[la + lc] | (
             exp[la + log[y >> m]] ^ exp[log[x >> m] + lc]) << m
 
+    @staticmethod
+    def _mod2(ctx, x):
+        return x & ctx._n
+
+    @staticmethod
+    def _half(ctx, x):
+        return x >> ctx.m
+
     @property
     def coeffs(self) -> tuple:
         """Ascending coefficients in ``{0, 1, 2, 3}``."""
@@ -248,7 +330,7 @@ class RingElem(_Elem):
 
     def reduce_mod2(self) -> "FieldElem":
         """Image in the residue field (coefficients taken mod 2)."""
-        return _make(FieldElem, self.ctx, self._x & self.ctx._n)
+        return _make(FieldElem, self.ctx, self._mod2(self.ctx, self._x))
 
     def halve(self) -> "FieldElem":
         """For an element of 2R, the field element it doubles.
@@ -258,9 +340,9 @@ class RingElem(_Elem):
         InvalidArgument
             If some coefficient is odd.
         """
-        if self._x & self.ctx._n:
+        if self._mod2(self.ctx, self._x):
             raise InvalidArgument(f"{self} is not doubled")
-        return _make(FieldElem, self.ctx, self._x >> self.ctx.m)
+        return _make(FieldElem, self.ctx, self._half(self.ctx, self._x))
 
 
 class FieldElem(_Elem):
@@ -290,6 +372,10 @@ class FieldElem(_Elem):
         log = ctx._log
         return ctx._exp[log[x] + log[y]]
 
+    @staticmethod
+    def _lift(ctx, x):
+        return ctx._from_index(ctx._spread[x])
+
     @property
     def coeffs(self) -> tuple:
         """Ascending coefficients in ``{0, 1}``."""
@@ -313,8 +399,7 @@ class FieldElem(_Elem):
 
     def lift(self) -> RingElem:
         """The ring element with the same {0, 1} coefficient vector."""
-        ctx = self.ctx
-        return _make(RingElem, ctx, ctx._from_index(ctx._spread[self._x]))
+        return _make(RingElem, self.ctx, self._lift(self.ctx, self._x))
 
 
 class RingContext:
@@ -472,7 +557,7 @@ class RingContext:
         return _make(FieldElem, self, idx & self._n)
 
 
-class AutomorphismSpec:
+class AutomorphismSpec(Record):
     """A chosen power of the Frobenius automorphism of a context.
 
     The base automorphism substitutes ``xi -> xi^2`` in the coefficient
@@ -493,22 +578,7 @@ class AutomorphismSpec:
     def __init__(self, ctx: RingContext, t: int = 1):
         if t < 1:
             raise InvalidArgument("t must be a positive integer")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "t", (t - 1) % ctx.m + 1)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("automorphism specs are immutable")
-
-    def __reduce__(self):
-        return AutomorphismSpec, (self.ctx, self.t)
-
-    def __eq__(self, other):
-        if not isinstance(other, AutomorphismSpec):
-            return NotImplemented
-        return self.ctx == other.ctx and self.t == other.t
-
-    def __hash__(self):
-        return hash((self.ctx, self.t))
+        self._fill((ctx, (t - 1) % ctx.m + 1))
 
     def __repr__(self):
         return f"AutomorphismSpec(t={self.t}, m={self.ctx.m})"

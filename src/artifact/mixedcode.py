@@ -19,7 +19,7 @@ in one pivot loop, recording the column permutations that were needed
 from that matrix to build a generator matrix of the dual code.  A word
 is in the code exactly when its ``syndrome``, its pairings with those
 rows, is zero; ``parity_check`` requires that of every standard-form
-row before returning.
+row before returning.  Words, matrices and results are ``Record`` values.
 """
 
 from __future__ import annotations
@@ -28,73 +28,10 @@ from typing import Iterable, Sequence
 
 from .errors import (CheckFailed, ContextMismatch, OrthogonalityCheckFailed,
                      ShapeMismatch)
-from .galois import FieldElem, RingContext, RingElem
+from .galois import FieldElem, Record, RingContext, RingElem
 
 __all__ = ["MixedWord", "MixedMatrix", "CodeType", "StandardFormResult",
            "inner_product", "standard_form", "syndrome", "parity_check"]
-
-
-class Record:
-    """Base of the frozen value records of this package.
-
-    A subclass names its fields in ``__slots__``, their defaults in
-    ``_defaults`` and its checks in ``_validate``.  Records take fields by
-    position or name, compare, hash and pickle by class and values,
-    refuse changes, and :meth:`replace` validates its copy again.
-    """
-
-    __slots__ = ()
-    _defaults: dict = {}
-
-    def __init__(self, *args, **kwargs):
-        names = self.__slots__
-        if kwargs or len(args) != len(names):
-            given = dict(zip(names, args))
-            values = {**self._defaults, **given, **kwargs}
-            if len(args) > len(names) or given.keys() & kwargs.keys() \
-                    or values.keys() != set(names):
-                raise TypeError(f"{type(self).__name__} takes the fields "
-                                f"{', '.join(names)}, each once")
-            args = [values[name] for name in names]
-        self._fill(args)._validate()
-
-    def _fill(self, values):
-        """Set the fields to ``values``, unchecked."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-        return self
-
-    def _validate(self):
-        """Raise when the fields do not describe a valid record."""
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def replace(self, **changes):
-        """A copy with ``changes`` applied, validated again."""
-        return type(self)(**{**dict(zip(self.__slots__, self._values())),
-                             **changes})
 
 
 class MixedWord(Record):
@@ -153,7 +90,7 @@ class MixedWord(Record):
     def _add_scaled(self, c: int, other: "MixedWord") -> "MixedWord":
         """``self + c*other`` for a packed ring scalar ``c``, unchecked;
         ``c`` acts as its mod-2 image on the binary side."""
-        ctx, cbar = self.ctx, c & self.ctx._n
+        ctx, cbar = self.ctx, RingElem._mod2(self.ctx, c)
         fadd, fmul, fof = FieldElem._add, FieldElem._mul, FieldElem._of
         radd, rmul, rof = RingElem._add, RingElem._mul, RingElem._of
         return MixedWord._of(
@@ -396,15 +333,15 @@ def parity_check(sf: StandardFormResult) -> MixedMatrix:
     g, ct = sf.g_std, sf.code_type
     ctx = g.ctx
     r, s, k0, k1, k2 = ct.r, ct.s, ct.k0, ct.k1, ct.k2
-    m, fneg = ctx.m, FieldElem._neg
+    fneg, lift, half = FieldElem._neg, FieldElem._lift, RingElem._half
     radd, rneg, rmul = RingElem._add, RingElem._neg, RingElem._mul
     one, two = RingElem._const(ctx, 1), RingElem._const(ctx, 2)
     gx = [_packed(w) for w in g]
     g0, g1, g2 = gx[:k0], gx[k0:k0 + k1], gx[k0 + k1:]
 
     # Packed entries of each row.  A field entry a read as a ring element
-    # is T(a), and 2*T(a) = 2*lift(a); the half of a doubled 2*T(b) is
-    # x >> m.  Packed 0 and 1 are the same on either side.
+    # is T(a), and 2*T(a) = 2*lift(a).  Packed 0 and 1 are the same on
+    # either side.
     hx = []
     # Rows dual to the binary information set.
     for c in range(k0, r):
@@ -414,14 +351,15 @@ def parity_check(sf: StandardFormResult) -> MixedMatrix:
                    [0] * (s - k1)))
     # Rows dual to the free quaternary columns.
     for c in range(k1 + k2, s):
-        a12 = [ctx._from_index(ctx._spread[b[c] >> m]) for _, b in g2]
+        a12 = [lift(ctx, half(ctx, b[c])) for _, b in g2]
         beta = []
         for _, b in g1:
             acc = rneg(ctx, b[c])
             for a, e in zip(a12, b[k1:k1 + k2]):
                 acc = radd(ctx, acc, rmul(ctx, a, e))
             beta.append(acc)
-        hx.append(([fneg(ctx, b[c] >> m) for _, b in g0] + [0] * (r - k0),
+        hx.append(([fneg(ctx, half(ctx, b[c])) for _, b in g0] +
+                   [0] * (r - k0),
                    beta + [rneg(ctx, a) for a in a12] +
                    [one if j == c else 0 for j in range(k1 + k2, s)]))
     # Rows dual to the doubled pivots.

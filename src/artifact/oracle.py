@@ -67,8 +67,8 @@ from .errors import (
     ShapeMismatch,
     TrivialCode,
 )
-from .galois import AutomorphismSpec, RingContext
-from .mixedcode import MixedMatrix, MixedWord, Record
+from .galois import AutomorphismSpec, Record, RingContext
+from .mixedcode import MixedMatrix, MixedWord
 from .skewpoly import SkewPoly
 
 __all__ = [
@@ -560,8 +560,7 @@ def classify_z4_skew_cyclic(code, autom: AutomorphismSpec) -> Classification:
         cand = SkewPoly(autom, least(unit & (deg == dmin), dmin,
                                      ctx.ring_index(ctx.ring_one())), True)
         g = cand.mod2().lift()
-        a = SkewPoly(autom, [c.halve() for c in (cand - g).coeffs],
-                     False).lift()
+        a = (cand - g).halve().lift()
         witness_rows.append(as_word(cand))
     else:
         case = "i"
@@ -574,7 +573,7 @@ def classify_z4_skew_cyclic(code, autom: AutomorphismSpec) -> Classification:
         hmin = deg[doubled].min()
         half = least(doubled & (deg == hmin), hmin,
                      ctx.ring_index(ctx.ring((2,))))
-        q = SkewPoly(autom, [c.halve() for c in half], False).lift()
+        q = SkewPoly(autom, half, True).halve().lift()
         witness_rows.append(as_word((2 * q).reduce_mod_xn(s)))
 
     try:

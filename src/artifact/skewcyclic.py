@@ -40,9 +40,9 @@ from typing import Optional
 
 from .errors import (ContextMismatch, DivisionByZero, DivisorNotUnitLeading,
                      MissingComponent, NotRightDivisible, ShapeMismatch)
-from .galois import AutomorphismSpec
-from .mixedcode import (MixedMatrix, MixedWord, Record, parity_check,
-                        standard_form, syndrome)
+from .galois import AutomorphismSpec, Record
+from .mixedcode import (MixedMatrix, MixedWord, parity_check, standard_form,
+                        syndrome)
 from .skewpoly import SkewPoly
 
 __all__ = [
@@ -187,9 +187,7 @@ def _materialized_residual(gens: SkewGenerators, h_g: SkewPoly):
             l1m = None
     qm = None
     if gens.a is not None and not gens.a.is_zero:
-        prod = (h_g * (2 * gens.a)).reduce_mod_xn(gens.s)
-        # prod is doubled; halve it into the field.
-        qm = SkewPoly(gens.autom, [c.halve() for c in prod.coeffs], False)
+        qm = (h_g * (2 * gens.a)).reduce_mod_xn(gens.s).halve()
         if qm.is_zero:
             qm = None
     return l1m, qm

@@ -22,14 +22,14 @@ from typing import Iterable, Sequence
 
 from .errors import (ContextMismatch, DivisionByZero, DivisorNotUnitLeading,
                      InvalidArgument)
-from .galois import AutomorphismSpec, FieldElem, RingElem
+from .galois import AutomorphismSpec, FieldElem, Record, RingElem
 
 __all__ = ["SkewPoly", "right_divides"]
 
 NEG_INF = float("-inf")
 
 
-class SkewPoly:
+class SkewPoly(Record):
     """A skew polynomial with ring or field coefficients.
 
     Use :meth:`from_ints` or the context element constructors to build
@@ -47,26 +47,19 @@ class SkewPoly:
                 raise ContextMismatch(f"expected {want.__name__} coefficients")
             if c.ctx is not autom.ctx and c.ctx != autom.ctx:
                 raise ContextMismatch("coefficient from a different context")
-        self._fill(autom, vec, ring)
+        self._trim(autom, vec, ring)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("skew polynomials are immutable")
-
-    def __reduce__(self):
-        return SkewPoly, (self.autom, self.coeffs, self.ring)
-
-    def _fill(self, autom: AutomorphismSpec, vec: list, ring: bool):
+    def _trim(self, autom: AutomorphismSpec, vec: list, ring: bool):
+        """Fill the fields with ``vec`` less its trailing zeros, unchecked."""
         while vec and not vec[-1]:
             vec.pop()
-        for name, value in zip(self.__slots__, (autom, tuple(vec), ring)):
-            object.__setattr__(self, name, value)
-        return self
+        return self._fill((autom, tuple(vec), ring))
 
     @classmethod
     def _packed(cls, autom: AutomorphismSpec, xs, ring: bool) -> "SkewPoly":
         """Polynomial of packed coefficients from ``autom.ctx``'s tables."""
         of, ctx = (RingElem if ring else FieldElem)._of, autom.ctx
-        return cls.__new__(cls)._fill(autom, [of(ctx, x) for x in xs], ring)
+        return cls.__new__(cls)._trim(autom, [of(ctx, x) for x in xs], ring)
 
     def _kernels(self):
         """``(ctx, add, neg, mul, frob)`` of the coefficient class."""
@@ -195,15 +188,6 @@ class SkewPoly:
             return NotImplemented
         return o * self
 
-    def __eq__(self, other):
-        if not isinstance(other, SkewPoly):
-            return NotImplemented
-        return (self.autom == other.autom and self.ring == other.ring
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.autom, self.ring, self.coeffs))
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -274,6 +258,13 @@ class SkewPoly:
         if self.ring:
             return self
         return SkewPoly(self.autom, [c.lift() for c in self.coeffs], True)
+
+    def halve(self) -> "SkewPoly":
+        """The field polynomial that a ring polynomial in 2R[x] doubles;
+        ``InvalidArgument`` for field coefficients or an odd one."""
+        if not self.ring:
+            raise InvalidArgument("only ring polynomials halve")
+        return SkewPoly(self.autom, [c.halve() for c in self.coeffs], False)
 
     # Text.
 

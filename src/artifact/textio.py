@@ -185,20 +185,11 @@ def _monomial(p: _Parser, atom: str) -> Tuple[int, int]:
     p.fail("a term" if atom == "w" else "an integer term")
 
 
-def _w_term(ctx: RingContext, kind, c: int, k: int) -> int:
-    """Packed ``c*w^k`` of the element class ``kind``."""
-    # Degree one: w is the root of h itself, -h0.  Otherwise w is the
-    # Teichmüller xi, and packed xi^k is the field's w^k.
-    w = kind._const(ctx, pow(-ctx.h[0], k, 4)) if ctx.m == 1 \
-        else ctx._exp[k % ctx._n]
-    return kind._mul(ctx, kind._const(ctx, c), w)
-
-
 def _element(p: _Parser, ctx: RingContext, kind) -> int:
     """Packed value of ``sum(mono('w'))``."""
     acc = 0
     for c, k in _sum(p, lambda: _monomial(p, "w"), int.__neg__):
-        acc = kind._add(ctx, acc, _w_term(ctx, kind, c, k))
+        acc = kind._add(ctx, acc, kind._w_term(ctx, c, k))
     return acc
 
 
@@ -212,7 +203,7 @@ def _pterm(p: _Parser, ctx: RingContext, kind):
         coeff = _element(p, ctx, kind)
         p.expect(")", "')'")
     else:
-        coeff = _w_term(ctx, kind, *_monomial(p, "w"))
+        coeff = kind._w_term(ctx, *_monomial(p, "w"))
     return coeff, (_power(p, "x") if p.take("*") else 0)
 
 

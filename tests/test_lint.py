@@ -9,9 +9,14 @@ module, so a helper left behind by a refactor is flagged.  The
 enumeration oracle must stay independent of the structural modules it
 cross-checks, and it alone may import numpy: the package and the
 command line import it lazily.  No module imports ``dataclasses``:
-records derive from ``mixedcode.Record``.  The modules ``import
-artifact`` loads import no standard-library module beyond the few they
-use, because each one adds to the import time of every command.
+frozen values derive from ``galois.Record``, and only it, the element
+base ``_Elem`` and ``RingContext`` write their own ``__setattr__``,
+``__hash__``, ``__reduce__`` or ``__eq__`` (and ``EnumeratedCode`` its
+``__eq__``).  Only ``galois`` reads the private tables of a
+``RingContext``; the rest of the package goes through its kernels.  The
+modules ``import artifact`` loads import no standard-library module
+beyond the few they use, because each one adds to the import time of
+every command.
 """
 
 import ast
@@ -48,10 +53,38 @@ def _unread_privates(tree):
                   and not (name.startswith("__") and name.endswith("__")))
 
 
-def violations(tree):
+_BASES = {"Record", "_Elem", "RingContext"}
+# Each value dunder and the classes that may define it.
+_VALUE_DUNDERS = {**dict.fromkeys(("__setattr__", "__hash__", "__reduce__"),
+                                  _BASES),
+                  "__eq__": _BASES | {"EnumeratedCode"}}
+_CONTEXT_TABLES = {"_n", "_log", "_exp", "_root", "_teich", "_spread",
+                   "_unspread", "_index", "_from_index", "_names"}
+
+
+def _value_rules(tree, owns_tables):
+    """``(line, rule)`` for each value dunder a class outside its allowed
+    set defines, and, unless ``owns_tables``, each context table read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                names = [item.name] if isinstance(item, ast.FunctionDef) \
+                    else [t.id for t in getattr(item, "targets", ())
+                          if isinstance(t, ast.Name)]
+                if any(node.name not in _VALUE_DUNDERS[name]
+                       for name in names if name in _VALUE_DUNDERS):
+                    yield item.lineno, "value dunder"
+        elif isinstance(node, ast.Attribute) and not owns_tables \
+                and node.attr in _CONTEXT_TABLES:
+            yield node.lineno, "context table"
+
+
+def violations(tree, owns_tables=False):
     """``(line, rule)`` for every assert, bare except, except Exception,
-    raise ValueError, underscore name imported from the package and
-    top-level underscore name that the module never reads."""
+    raise ValueError, underscore name imported from the package,
+    top-level underscore name that the module never reads, value dunder
+    outside its classes and, unless ``owns_tables``, context table
+    read."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Assert):
             yield node.lineno, "assert statement"
@@ -76,6 +109,7 @@ def violations(tree):
                 yield node.lineno, "except Exception"
     for line, _ in _unread_privates(tree):
         yield line, "unread private"
+    yield from _value_rules(tree, owns_tables)
 
 
 def test_modules_found():
@@ -85,7 +119,7 @@ def test_modules_found():
 
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
 def test_no_assert_or_broad_except(path):
-    found = list(violations(_parse(path)))
+    found = list(violations(_parse(path), path.name == "galois.py"))
     assert not found, f"{path.name}: {found}"
 
 
@@ -104,13 +138,25 @@ def test_guard_flags_each_rule():
            "_read, _unread = 1, 2\n"
            "def _helper():\n    return _read\n"
            "class _Left:\n    __slots__ = ()\n"
-           "__all__ = []\n")
-    assert list(violations(ast.parse(src))) == [
-        (1, "assert statement"), (4, "bare except"), (8, "except Exception"),
-        (15, "raise ValueError"), (19, "private import"),
-        (20, "private import"), (21, "private import"),
-        (24, "unread private"), (25, "unread private"),
-        (27, "unread private")]
+           "__all__ = []\n"
+           "class Word:\n    __hash__ = None\n"
+           "    def __eq__(self, other):\n"
+           "        return ctx._exp[0] is other._x\n"
+           "class Record:\n    def __setattr__(self, name, value):\n"
+           "        pass\n"
+           "class EnumeratedCode:\n    def __eq__(self, other):\n"
+           "        pass\n"
+           "    def __reduce__(self):\n        pass\n")
+    tree = ast.parse(src)
+    found = [(1, "assert statement"), (4, "bare except"),
+             (8, "except Exception"), (15, "raise ValueError"),
+             (19, "private import"), (20, "private import"),
+             (21, "private import"), (24, "unread private"),
+             (25, "unread private"), (27, "unread private"),
+             (31, "value dunder"), (32, "value dunder"),
+             (40, "value dunder"), (33, "context table")]
+    assert list(violations(tree)) == found
+    assert list(violations(tree, owns_tables=True)) == found[:-1]
 
 
 def imports(tree, on_load_only=False):

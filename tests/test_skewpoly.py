@@ -1,5 +1,7 @@
 """Skew polynomial arithmetic and right division."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,6 +130,47 @@ def test_mod2_and_lift(autom2):
     assert not q.ring
     assert q == SkewPoly.from_ints(autom2, [1, 0, 1, 1], False)
     assert q.lift() == SkewPoly.from_ints(autom2, [1, 0, 1, 1], True)
+
+
+class TestRecords:
+    """Specs and polynomials are frozen records: equal by value, hashed
+    alike, pickled through their checking constructors."""
+
+    @pytest.fixture(params=[1, 2, 3])
+    def ctx(self, request, ctx1, ctx2, ctx3):
+        return (ctx1, ctx2, ctx3)[request.param - 1]
+
+    def test_fields_refuse_assignment(self, ctx):
+        autom = AutomorphismSpec(ctx, 1)
+        for value, name in ((autom, "t"), (SkewPoly.one(autom), "coeffs")):
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+
+    def test_equal_distinct_specs(self, ctx):
+        m, one = ctx.m, AutomorphismSpec(ctx, 1)
+        other = AutomorphismSpec(RingContext(m, ctx.h), m + 1)
+        assert other is not one and other.ctx is not ctx
+        assert other == one and hash(other) == hash(one)
+        for ring in (True, False):
+            f, g = (SkewPoly.from_ints(a, [1, 2, 3], ring)
+                    for a in (one, other))
+            assert f == g and hash(f) == hash(g)
+
+    def test_replace_normalises_t_again(self, ctx):
+        autom = AutomorphismSpec(ctx, 2)
+        assert autom.replace(t=ctx.m + 1).t == 1
+        assert autom.replace(t=ctx.m + 2) == autom
+        with pytest.raises(InvalidArgument):
+            autom.replace(t=0)
+
+    def test_pickle_round_trip(self, ctx):
+        autom = AutomorphismSpec(ctx, 2)
+        for value in (autom, SkewPoly.zero(autom),
+                      SkewPoly.from_ints(autom, [3, 0, 2, 1]),
+                      SkewPoly.from_ints(autom, [1, 0, 1], False)):
+            copy = pickle.loads(pickle.dumps(value))
+            assert copy == value and hash(copy) == hash(value)
+            assert repr(copy) == repr(value)
 
 
 def test_string_forms(autom2):

@@ -1,5 +1,5 @@
-"""Skew products, right division, the pairing and word arithmetic
-against a schoolbook.
+"""Skew polynomial arithmetic, the pairing and word arithmetic against
+a schoolbook.
 
 The schoolbook below works on coefficient vectors: an element of
 GR(4, m) is a tuple ``(v_0, ..., v_{m-1})`` read in ``Z4[x]/(h)``, an
@@ -17,8 +17,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from artifact import (AutomorphismSpec, DivisionByZero,
-                      DivisorNotUnitLeading, MixedWord, RingContext,
-                      SkewPoly, inner_product)
+                      DivisorNotUnitLeading, InvalidArgument, MixedWord,
+                      RingContext, SkewPoly, inner_product)
 
 MODULI = {1: (1, 1), 2: (1, 1, 1), 3: (3, 1, 2, 1)}
 CASES = [(m, t) for m in MODULI for t in (1, 2)]
@@ -138,6 +138,43 @@ def test_products_match_the_schoolbook(case, ring, data):
     f, g = _draw_poly(data, book, 6), _draw_poly(data, book, 6)
     prod = _poly(SPECS[case], f, ring) * _poly(SPECS[case], g, ring)
     assert _vectors(prod) == book.mul(f, g)
+
+
+@given(st.sampled_from(CASES), st.booleans(), st.integers(1, 5), st.data())
+def test_sums_and_folding_match_the_schoolbook(case, ring, n, data):
+    book, autom = _book(*case, ring), SPECS[case]
+    f, g = _draw_poly(data, book, 6), _draw_poly(data, book, 6)
+    pf, pg = _poly(autom, f, ring), _poly(autom, g, ring)
+    minus_g = [tuple(-c % book.q for c in v) for v in g]
+    # x^n - 1 is central, so reducing by it folds x^k onto x^(k mod n).
+    folded = []
+    for k, v in enumerate(f):
+        folded = book.add(folded, [book.zero] * (k % n) + [v])
+    assert _vectors(pf + pg) == book.add(f, g)
+    assert _vectors(pf - pg) == book.add(f, minus_g)
+    assert _vectors(-pg) == book.trim(minus_g)
+    assert _vectors(pf.reduce_mod_xn(n)) == folded
+
+
+@given(st.sampled_from(CASES), st.data())
+def test_mod2_lift_and_halve_match_the_schoolbook(case, data):
+    field, ring, autom = _book(*case, False), _book(*case, True), SPECS[case]
+    f, b = _draw_poly(data, ring, 6), _draw_poly(data, field, 6)
+    pf, pb = _poly(autom, f, True), _poly(autom, b, False)
+    doubled = _poly(autom, [tuple(2 * c for c in v) for v in b], True)
+    assert (pf.mod2().ring, pb.lift().ring) == (False, True)
+    assert _vectors(pf.mod2()) == field.trim(
+        tuple(c % 2 for c in v) for v in f)
+    assert _vectors(pb.lift()) == ring.trim(b)
+    assert _vectors(doubled.halve()) == field.trim(b)
+    if any(c % 2 for v in f for c in v):
+        with pytest.raises(InvalidArgument):
+            pf.halve()
+    else:
+        assert _vectors(pf.halve()) == field.trim(
+            tuple(c // 2 for c in v) for v in f)
+    with pytest.raises(InvalidArgument):
+        pb.halve()
 
 
 @given(st.sampled_from(CASES), st.booleans(), st.data())
