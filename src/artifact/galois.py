@@ -125,7 +125,7 @@ class Record:
     __delattr__ = __setattr__
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple([getattr(self, name) for name in self.__slots__])
 
     def __eq__(self, other):
         if type(other) is not type(self):

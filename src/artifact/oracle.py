@@ -11,11 +11,18 @@ region, so whole arrays of words combine in a few vector operations.
 Every operation runs on one numpy array of packed words; the word width
 only picks its dtype, ``np.uint64`` up to 64 bits and ``object``
 (Python ints) beyond.  Scalar multiples, the skew shift, weights and
-the dual's inner products are one mapping step that sends each
-coordinate through a dense table to a destination offset.  The tables
-(scalar times element, Frobenius powers) are built once per context
-from element arithmetic.  Stored word sets stay a sorted ``np.uint64``
-array, or a sorted tuple of ints for wide words.
+the dual's inner products are one mapping step: a sum over coordinates
+of a dense table, indexed by the coordinate and placed at a destination
+offset.  The tables (scalar times element, Frobenius powers) are built
+once per context from element arithmetic.  Adjacent coordinates share
+one lookup: their placed tables add up to one table over the group's
+bits, kept while it holds at most ``2**10`` entries, so a sum of
+lookups stays the same sum.  One codec per (context, r, s) shape is
+cached, and it keeps these grouped plans for the fixed table kinds
+(scalar multiples, each Frobenius shift, weights, the classifier's
+key); the dual's pairing tables depend on its generators and go
+through the same loop one coordinate per lookup.  Stored word sets stay
+a sorted ``np.uint64`` array, or a sorted tuple of ints for wide words.
 
 Spans are built by coset enumeration over a worklist of generator
 rows.  The scalar multiples ``K`` of a row form a subgroup of at most
@@ -83,6 +90,8 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 16  # words per mapping step, small enough for the cache
+_GROUP = 1 << 10  # entries of one grouped table, trailing axes counted
+_CODECS = 32  # cached codecs, one per (context, r, s) shape
 
 
 @functools.cache
@@ -109,7 +118,11 @@ def _tables(ctx: RingContext) -> dict:
 
 
 class _Codec:
-    """Packing layout and word dtype for one (context, r, s) shape."""
+    """Packing layout and word dtype for one (context, r, s) shape.
+
+    Obtained through ``_codec``, which keeps one per shape, so the
+    grouped plans in ``plans`` are built once per shape and table kind.
+    """
 
     def __init__(self, ctx: RingContext, r: int, s: int):
         m = ctx.m
@@ -126,12 +139,19 @@ class _Codec:
         quat = [word(2 * m * j) for j in range(s)]
         binary = [word(self.q_width + m * i) for i in range(r)]
         self.offsets = quat + binary
+        self.widths = self.per_coord(2 * m, m)
+        self.word = word
         self.rotated = quat[1:] + quat[:1] + binary[1:] + binary[:1]
         self.zeros = [word(0)] * (r + s)
         self.masks = self.per_coord(word((1 << (2 * m)) - 1),
                                     word((1 << m) - 1))
         self.tables = {name: t.astype(self.dtype)
                        for name, t in _tables(ctx).items()}
+        self.plans = {}
+
+    def __getstate__(self):
+        # A pickled code leaves its plans behind; they rebuild on use.
+        return {**self.__dict__, "plans": {}}
 
     def per_coord(self, ring, field) -> list:
         """One entry per coordinate: quaternary ones first, as packed."""
@@ -175,19 +195,51 @@ class _Codec:
         out ^= b
         return out
 
-    def map(self, arr: np.ndarray, tables: list, dest: list) -> np.ndarray:
+    def plan(self, tables: list, dest: list, bound: int) -> list:
+        """``(source shift, mask, placed table)`` per group of coordinates.
+
+        A coordinate joins the group before it while the merged table
+        holds at most ``bound`` entries, trailing axes counted; one past
+        the bound on its own stays a group of one.  The merged table is
+        the sum of its coordinates' placed tables, each read off its own
+        bits of the group's index, so one lookup adds what they add.
+        """
+        groups = []
+        for src, width, table, d in zip(self.offsets, self.widths,
+                                        tables, dest):
+            table = table << d
+            if groups and groups[-1][2].size << width <= bound:
+                start, low, merged = groups[-1]
+                idx = np.arange(len(merged) << width)
+                groups[-1] = (start, low + width,
+                              merged[idx & (len(merged) - 1)]
+                              + table[idx >> low])
+            else:
+                groups.append((src, width, table))
+        return [(src, self.word((1 << width) - 1), table)
+                for src, width, table in groups]
+
+    def map(self, arr: np.ndarray, tables: list, dest: list,
+            key=None) -> np.ndarray:
         """Sum over coordinates ``c`` of ``tables[c][word_c] << dest[c]``.
 
-        Trailing table axes become trailing axes of the result.  Words
-        go through in blocks so that the temporaries stay in cache.
+        Trailing table axes become trailing axes of the result.  With a
+        ``key`` the grouped plan is built on the first call and kept on
+        the codec under that key; without one the plan is built for this
+        call, one lookup per coordinate.  Words go through in blocks so
+        that the temporaries stay in cache.
         """
-        placed = [t << d for t, d in zip(tables, dest)]
-        out = np.zeros(arr.shape + tables[0].shape[1:], dtype=self.dtype)
+        plan = self.plans.get(key)
+        if plan is None:
+            plan = self.plan(tables, dest, 0 if key is None else _GROUP)
+            if key is not None:
+                self.plans[key] = plan
+        out = np.zeros(arr.shape + plan[0][2].shape[1:], dtype=self.dtype)
         col = np.empty(min(len(arr), _BLOCK), dtype=np.intp)
         for lo in range(0, len(arr), _BLOCK):
             part, acc = arr[lo:lo + _BLOCK], out[lo:lo + _BLOCK]
             idx = col[:len(part)]
-            for src, mask, table in zip(self.offsets, self.masks, placed):
+            for src, mask, table in plan:
                 np.bitwise_and(part >> src, mask, out=idx, casting="unsafe")
                 acc += table[idx]
         return out
@@ -196,7 +248,8 @@ class _Codec:
         """Distinct scalar multiples of one packed word, sorted."""
         tables = self.per_coord(self.tables["ring_scaled"],
                                 self.tables["field_scaled"])
-        return np.unique(self.map(self.array([word]), tables, self.offsets))
+        return np.unique(self.map(self.array([word]), tables, self.offsets,
+                                  key="scaled"))
 
     def shift(self, arr: np.ndarray, autom: AutomorphismSpec) -> np.ndarray:
         """The skew shift of every word: rotate each block, twist entries."""
@@ -205,7 +258,10 @@ class _Codec:
         k = autom.t % self.ctx.m
         tables = self.per_coord(self.tables["ring_frob"][k],
                                 self.tables["field_frob"][k])
-        return self.map(arr, tables, self.rotated)
+        return self.map(arr, tables, self.rotated, key=("frob", k))
+
+
+_codec = functools.lru_cache(maxsize=_CODECS)(_Codec)
 
 
 class EnumeratedCode(Record):
@@ -334,7 +390,7 @@ def span_closure(rows, autom: Optional[AutomorphismSpec] = None,
     mat = _as_matrix(rows)
     if skew and autom is None:
         raise ContextMismatch("skew closure needs an automorphism")
-    codec = _Codec(mat.ctx, mat.r, mat.s)
+    codec = _codec(mat.ctx, mat.r, mat.s)
     span = codec.array([0])
     gens = []
     work = deque(codec.array([codec.encode(w) for w in mat]))
@@ -444,7 +500,7 @@ def _ensure_enumerated(code) -> EnumeratedCode:
     if isinstance(code, EnumeratedCode):
         return code
     mat = _as_matrix(code)
-    codec = _Codec(mat.ctx, mat.r, mat.s)
+    codec = _codec(mat.ctx, mat.r, mat.s)
     keys = np.unique(codec.array([codec.encode(w) for w in mat]))
     return EnumeratedCode(codec, codec.store(keys), None)
 
@@ -546,7 +602,7 @@ def classify_z4_skew_cyclic(code, autom: AutomorphismSpec) -> Classification:
         cand = cand[((cand >> src) & mask) == lead]
         if not len(cand):
             raise NotACode("the set lacks the scalar multiples of its words")
-        key = codec.map(cand, [identity] * s, ascending)
+        key = codec.map(cand, [identity] * s, ascending, key="ascending")
         return codec.decode(int(cand[np.argmin(key)])).beta
 
     def as_word(poly: SkewPoly) -> MixedWord:
@@ -595,9 +651,14 @@ def min_hamming_distance(code) -> int:
     code = _ensure_enumerated(code)
     codec = code.codec
     arr = codec.array(code.packed)
-    arr = arr[np.searchsorted(arr, 1):]  # sorted: only the first can be 0
+    # Sorted: only the first word can be 0.  A search key of the array's
+    # own type keeps numpy from casting the whole array to compare.
+    arr = arr[np.searchsorted(arr, codec.one):]
     if len(arr) == 0:
         raise TrivialCode("no nonzero words")
     tables = codec.per_coord(codec.tables["ring_nonzero"],
                              codec.tables["field_nonzero"])
-    return int(codec.map(arr, tables, codec.zeros).min())
+    # Slices of _BLOCK words keep the weights from growing with the code.
+    return min(int(codec.map(arr[lo:lo + _BLOCK], tables, codec.zeros,
+                             key="weight").min())
+               for lo in range(0, len(arr), _BLOCK))

@@ -130,9 +130,9 @@ class TestDualDerivation:
         calls = []
         mapping = oracle._Codec.map
 
-        def counted(codec, arr, tables, dest):
+        def counted(codec, arr, tables, dest, **kw):
             calls.append((len(arr), tables[0].shape[1:]))
-            return mapping(codec, arr, tables, dest)
+            return mapping(codec, arr, tables, dest, **kw)
 
         monkeypatch.setattr(oracle._Codec, "map", counted)
         assert len(brute_force_dual(code)) == 16

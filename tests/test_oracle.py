@@ -498,14 +498,14 @@ class TestDualWitnesses:
         pairings, multiples = [], []
         mapping = oracle._Codec.map
 
-        def counted(codec, arr, tables, dest):
+        def counted(codec, arr, tables, dest, **kw):
             # One row's scalar multiples map a single word; the pairing
             # maps both halves of the ambient space in one call.
             if len(arr) > 1:
                 pairings.append((len(arr), tables[0].shape[1:]))
             else:
                 multiples.append(int(arr[0]))
-            return mapping(codec, arr, tables, dest)
+            return mapping(codec, arr, tables, dest, **kw)
 
         monkeypatch.setattr(oracle._Codec, "map", counted)
         assert brute_force_dual(dual) == code
@@ -594,6 +594,158 @@ class TestSkewCyclicPredicate:
             members = all(theta_shift(w, autom) in code for w in code)
             assert members is expect
             assert is_skew_cyclic(code, autom) is expect
+
+
+# (ctx, r, s) of the grouped-plan witnesses: at each m, shapes of at most
+# 64 bits and past 64 bits, with r = 0 and with s = 0 among them.
+_PLAN_SHAPES = [
+    (_CTX1, 0, 3), (_CTX1, 4, 0), (_CTX1, 3, 5),
+    (_CTX1, 0, 33), (_CTX1, 65, 0), (_CTX1, 10, 30),
+    (_CTX2, 0, 2), (_CTX2, 5, 0), (_CTX2, 3, 4),
+    (_CTX2, 0, 17), (_CTX2, 33, 0), (_CTX2, 8, 16),
+    (_CTX3, 0, 2), (_CTX3, 3, 0), (_CTX3, 2, 3),
+    (_CTX3, 0, 11), (_CTX3, 22, 0), (_CTX3, 2, 10),
+]
+
+
+def nonzero_count(w):
+    return sum(1 for a in w.alpha if a) + sum(1 for b in w.beta if b)
+
+
+class TestGroupedPlans:
+    """Grouped lookups against word-by-word references."""
+
+    @settings(max_examples=60)
+    @given(st.data(), st.sampled_from(_PLAN_SHAPES), st.sampled_from([1, 2]))
+    def test_shift_and_weight_match_word_by_word(self, data, shape, t):
+        ctx, r, s = shape
+        autom = AutomorphismSpec(ctx, t)
+        words = data.draw(random_rows(ctx, [(r, s)], 6))
+        codec = oracle._codec(ctx, r, s)
+        assert codec.vector is (codec.bits <= 64)
+        arr = codec.array([codec.encode(w) for w in words])
+        shifted = codec.shift(arr, autom)
+        assert [codec.decode(int(v)) for v in shifted] == \
+            [theta_shift(w, autom) for w in words]
+        weight = codec.map(arr, codec.per_coord(codec.tables["ring_nonzero"],
+                                                codec.tables["field_nonzero"]),
+                           codec.zeros, key="weight")
+        assert weight.tolist() == [nonzero_count(w) for w in words]
+
+    @pytest.mark.parametrize("ctx, r, s", _PLAN_SHAPES)
+    def test_groups_tile_the_word_within_the_bound(self, ctx, r, s):
+        codec = oracle._Codec(ctx, r, s)
+        t = codec.tables
+        kinds = [(t["ring_scaled"], t["field_scaled"], codec.offsets),
+                 (t["ring_frob"][0], t["field_frob"][0], codec.rotated),
+                 (t["ring_nonzero"], t["field_nonzero"], codec.zeros)]
+        for ring, field, dest in kinds:
+            plan = codec.plan(codec.per_coord(ring, field), dest,
+                              oracle._GROUP)
+            ends = [0]
+            for src, mask, table in plan:
+                width = int(mask).bit_length()
+                assert int(src) == ends[-1]
+                assert len(table) == 1 << width
+                if ends[-1]:
+                    # The group before could not take this coordinate.
+                    first = codec.widths[codec.offsets.index(src)]
+                    assert previous.size << first > oracle._GROUP
+                ends.append(ends[-1] + width)
+                previous = table
+                # A merged table keeps to the bound; only a coordinate
+                # past it alone makes a larger one.
+                assert table.size <= oracle._GROUP or \
+                    ends[-2] in codec.offsets and width in codec.widths
+            assert ends[-1] == codec.bits
+
+    def test_a_coordinate_past_the_bound_is_a_group_of_one(self, ctx3):
+        # m = 3: a ring coordinate's scaled multiples take 64 x 64
+        # entries, past the bound, so each is looked up alone; the
+        # binary ones (8 x 64 entries) cannot pair either.
+        codec = oracle._Codec(ctx3, 2, 3)
+        t = codec.tables
+        plan = codec.plan(codec.per_coord(t["ring_scaled"], t["field_scaled"]),
+                          codec.offsets, oracle._GROUP)
+        assert [(int(src), int(mask)) for src, mask, _ in plan] == \
+            [(0, 63), (6, 63), (12, 63), (18, 7), (21, 7)]
+        assert plan[0][2].size == 4096 > oracle._GROUP
+        # The shift's 64-entry tables do pair up within the bound.
+        shift = codec.plan(codec.per_coord(t["ring_frob"][1],
+                                           t["field_frob"][1]),
+                           codec.rotated, oracle._GROUP)
+        assert len(shift) < 5
+        rows = [MixedWord.from_ints(ctx3, [1, 5], [3, 0, 9])]
+        code = span_closure(rows)
+        assert len(code) == len(set(code.codec.multiples(
+            code.codec.encode(rows[0])).tolist()))
+
+
+class TestCodecCache:
+    """One codec per shape, each plan built once."""
+
+    def test_repeated_passes_build_each_plan_once(self, ctx2, autom2,
+                                                  monkeypatch):
+        oracle._codec.cache_clear()
+        built = []
+        plan = oracle._Codec.plan
+
+        def counted(codec, tables, dest, bound):
+            built.append(bound)
+            return plan(codec, tables, dest, bound)
+
+        monkeypatch.setattr(oracle._Codec, "plan", counted)
+        rows = [MixedWord.from_ints(ctx2, [1, 0], [2, 1])]
+        codes = []
+        for _ in range(3):
+            code = span_closure(rows, autom=autom2, skew=True)
+            assert is_skew_cyclic(code, autom2)
+            assert is_skew_cyclic(span_closure(rows), autom2) is False
+            assert min_hamming_distance(code) == min(
+                nonzero_count(w) for w in code if not w.is_zero)
+            codes.append(code)
+        # Scalar multiples, the shift at t = 1 and the weights.
+        assert built == [oracle._GROUP] * 3
+        assert codes[0].codec is codes[2].codec
+        assert sorted(map(str, codes[0].codec.plans)) == \
+            ["('frob', 1)", "scaled", "weight"]
+
+    def test_classifier_builds_its_plans_once(self, ctx2, autom2,
+                                              monkeypatch):
+        # The regenerating skew closure used to rebuild its placed tables
+        # in every map call, about 8 per job.
+        code = span_closure([MixedWord.from_ints(ctx2, [], [1, 2, 1, 0])],
+                            autom=autom2, skew=True)
+        classify_z4_skew_cyclic(code, autom2)
+        built = []
+        plan = oracle._Codec.plan
+        monkeypatch.setattr(oracle._Codec, "plan",
+                            lambda *args: built.append(args) or plan(*args))
+        for _ in range(3):
+            assert classify_z4_skew_cyclic(code, autom2).case == "ii"
+        assert built == []
+
+    def test_cache_has_a_bound(self, ctx1):
+        oracle._codec.cache_clear()
+        assert oracle._codec.cache_info().maxsize == oracle._CODECS
+        first = oracle._codec(ctx1, 1, 1)
+        for r in range(2, oracle._CODECS + 6):
+            oracle._codec(ctx1, r, 1)
+        assert oracle._codec.cache_info().currsize == oracle._CODECS
+        assert oracle._codec(ctx1, 1, 1) is not first
+        assert oracle._codec(ctx1, 1, 1) is oracle._codec(ctx1, 1, 1)
+
+    def test_codes_with_built_plans_pickle(self, ctx2, ctx3):
+        for ctx, rows in ((ctx2, r1s1_rows(ctx2)), (ctx3, wide_rows(ctx3))):
+            autom = AutomorphismSpec(ctx, 1)
+            code = span_closure(rows, autom=autom, skew=True)
+            distance = min_hamming_distance(code)
+            assert code.codec.plans
+            copy = pickle.loads(pickle.dumps(code))
+            assert copy == code and copy.codec.plans == {}
+            assert type(copy.packed) is type(code.packed)
+            assert is_skew_cyclic(copy, autom)
+            assert min_hamming_distance(copy) == distance
 
 
 def sparse_word(rng, ctx, r, s):
@@ -881,6 +1033,41 @@ class TestMinimumDistance:
         assert min_hamming_distance([wide]) == 3
         with pytest.raises(TrivialCode):
             min_hamming_distance([wide.scale(ctx3.ring_zero())])
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_streams_in_slices_of_block_words(self, ctx2, ctx3, wide,
+                                              monkeypatch):
+        block = 1 << 8
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        if wide:
+            autom = AutomorphismSpec(ctx3, 1)
+            code = span_closure(wide_rows(ctx3), autom=autom, skew=True)
+        else:
+            code = span_closure([MixedWord.from_ints(
+                ctx2, [], [int(i == j) for j in range(4)]) for i in range(4)])
+        best = min(nonzero_count(w) for w in code if not w.is_zero)
+        sizes = []
+        mapping = oracle._Codec.map
+
+        def counted(codec, arr, tables, dest, **kw):
+            sizes.append(len(arr))
+            return mapping(codec, arr, tables, dest, **kw)
+
+        monkeypatch.setattr(oracle._Codec, "map", counted)
+        assert min_hamming_distance(code) == best
+        assert max(sizes) <= block
+        assert sum(sizes) == len(code) - 1
+        if not wide:
+            # Neither a full-length weight array nor a cast copy of the
+            # words: the peak stays a small part of the code's array.
+            tracemalloc.start()
+            try:
+                min_hamming_distance(code)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(code) == 1 << 16
+            assert peak < code.packed.nbytes // 8
 
     def test_wide_matches_exhaustive_scan(self, ctx3):
         code = span_closure(wide_rows(ctx3))
