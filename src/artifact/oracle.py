@@ -219,48 +219,76 @@ class _Codec:
         return [(src, self.word((1 << width) - 1), table)
                 for src, width, table in groups]
 
-    def map(self, arr: np.ndarray, tables: list, dest: list,
-            key=None) -> np.ndarray:
-        """Sum over coordinates ``c`` of ``tables[c][word_c] << dest[c]``.
-
-        Trailing table axes become trailing axes of the result.  With a
-        ``key`` the grouped plan is built on the first call and kept on
-        the codec under that key; without one the plan is built for this
-        call, one lookup per coordinate.  Words go through in blocks so
-        that the temporaries stay in cache.
-        """
-        plan = self.plans.get(key)
+    def _planned(self, name, build) -> list:
+        """The grouped plan ``name``, from ``plan(*build())`` on first use."""
+        plan = self.plans.get(name)
         if plan is None:
-            plan = self.plan(tables, dest, 0 if key is None else _GROUP)
-            if key is not None:
-                self.plans[key] = plan
-        out = np.zeros(arr.shape + plan[0][2].shape[1:], dtype=self.dtype)
+            plan = self.plans[name] = self.plan(*build(), _GROUP)
+        return plan
+
+    def map(self, arr: np.ndarray, plan: list, reduce=None):
+        """Sum over the groups of ``plan`` of ``table[(word >> src) & mask]``.
+
+        Trailing table axes become trailing axes of the result.  Words
+        go through in blocks of ``_BLOCK`` so that the temporaries stay
+        in cache.  With ``reduce``, each block's sums go through it as
+        soon as they exist and the list of its results is returned, so
+        the sums are never held for all words at once.
+        """
+        size = len(arr) if reduce is None else min(len(arr), _BLOCK)
+        out = np.empty((size,) + plan[0][2].shape[1:], dtype=self.dtype)
         col = np.empty(min(len(arr), _BLOCK), dtype=np.intp)
+        reduced = []
         for lo in range(0, len(arr), _BLOCK):
-            part, acc = arr[lo:lo + _BLOCK], out[lo:lo + _BLOCK]
+            part = arr[lo:lo + _BLOCK]
+            acc = out[lo:lo + _BLOCK] if reduce is None else out[:len(part)]
+            acc.fill(0)
             idx = col[:len(part)]
             for src, mask, table in plan:
                 np.bitwise_and(part >> src, mask, out=idx, casting="unsafe")
                 acc += table[idx]
-        return out
+            if reduce is not None:
+                reduced.append(reduce(acc))
+        return out if reduce is None else reduced
 
     def multiples(self, word) -> np.ndarray:
         """Distinct scalar multiples of one packed word, sorted."""
-        tables = self.per_coord(self.tables["ring_scaled"],
-                                self.tables["field_scaled"])
-        return np.unique(self.map(self.array([word]), tables, self.offsets,
-                                  key="scaled"))
+        plan = self._planned("scaled", lambda: (
+            self.per_coord(self.tables["ring_scaled"],
+                           self.tables["field_scaled"]), self.offsets))
+        return np.unique(self.map(self.array([word]), plan))
 
     def shift(self, arr: np.ndarray, autom: AutomorphismSpec) -> np.ndarray:
         """The skew shift of every word: rotate each block, twist entries."""
         if autom.ctx != self.ctx:
             raise ContextMismatch("automorphism from a different context")
         k = autom.t % self.ctx.m
-        tables = self.per_coord(self.tables["ring_frob"][k],
-                                self.tables["field_frob"][k])
-        return self.map(arr, tables, self.rotated, key=("frob", k))
+        plan = self._planned(("frob", k), lambda: (
+            self.per_coord(self.tables["ring_frob"][k],
+                           self.tables["field_frob"][k]), self.rotated))
+        return self.map(arr, plan)
+
+    def weights(self, arr: np.ndarray, reduce=None):
+        """Nonzero coordinates per word; ``reduce`` as in ``map``."""
+        plan = self._planned("weight", lambda: (
+            self.per_coord(self.tables["ring_nonzero"],
+                           self.tables["field_nonzero"]), self.zeros))
+        return self.map(arr, plan, reduce)
+
+    def ascending(self, arr: np.ndarray) -> np.ndarray:
+        """Quaternary words (``r = 0``) with their coordinates reversed.
+
+        These keys order words by their coefficients from ``x^0`` upward.
+        """
+        plan = self._planned("ascending", lambda: (
+            [np.arange(4 ** self.ctx.m).astype(self.dtype)] * self.s,
+            self.offsets[::-1]))
+        return self.map(arr, plan)
 
 
+# Passes on one shape in one process reuse its codec and plans: a span
+# and its skew closure, a classification and its regenerating span, a
+# batch of codes of one length.
 _codec = functools.lru_cache(maxsize=_CODECS)(_Codec)
 
 
@@ -470,7 +498,7 @@ def brute_force_dual(code, budget: int = DEFAULT_BUDGET) -> EnumeratedCode:
     high = np.arange(1 << (codec.bits - split), dtype=np.uint64)
     words = np.concatenate([np.arange(n_low, dtype=np.uint64),
                             high << np.uint64(split)])
-    keys = codec.map(words, tables, codec.zeros)
+    keys = codec.map(words, codec.plan(tables, codec.zeros, 0))
     keys &= mod4
     # -a mod 4 per lane keeps the low bit and xors it into the high one.
     keys[n_low:] ^= (keys[n_low:] & np.uint64(ones)) << np.uint64(1)
@@ -582,15 +610,11 @@ def classify_z4_skew_cyclic(code, autom: AutomorphismSpec) -> Classification:
         deg[nonzero] = j
         unit[nonzero] = ((odd[nonzero] >> src) & mask) != 0
     doubled = odd == 0
-    # Coordinate j goes to the place of coordinate s-1-j, so the keys
-    # order words by their coefficients from x^0 upward.  On doubled
-    # words that is the order of their halves: the index of 2b is the
-    # index of b spread over the high bit of each pair.
-    identity = np.arange(4 ** ctx.m).astype(codec.dtype)
-    ascending = codec.offsets[::-1]
+    # codec.ascending orders doubled words as their halves: the index of
+    # 2b is the index of b spread over the high bit of each pair.
 
     def least(select, degree: int, lead: int) -> list:
-        """Coefficients of the first word, by that key, of those in
+        """Coefficients of the first word, by ``codec.ascending``, of those in
         ``words[select]`` (all of ``degree``) whose leading coordinate
         has index ``lead``.  Only this word is decoded.
 
@@ -602,8 +626,7 @@ def classify_z4_skew_cyclic(code, autom: AutomorphismSpec) -> Classification:
         cand = cand[((cand >> src) & mask) == lead]
         if not len(cand):
             raise NotACode("the set lacks the scalar multiples of its words")
-        key = codec.map(cand, [identity] * s, ascending, key="ascending")
-        return codec.decode(int(cand[np.argmin(key)])).beta
+        return codec.decode(int(cand[np.argmin(codec.ascending(cand))])).beta
 
     def as_word(poly: SkewPoly) -> MixedWord:
         return MixedWord(ctx, [], [poly.coeff(i) for i in range(s)])
@@ -656,9 +679,4 @@ def min_hamming_distance(code) -> int:
     arr = arr[np.searchsorted(arr, codec.one):]
     if len(arr) == 0:
         raise TrivialCode("no nonzero words")
-    tables = codec.per_coord(codec.tables["ring_nonzero"],
-                             codec.tables["field_nonzero"])
-    # Slices of _BLOCK words keep the weights from growing with the code.
-    return min(int(codec.map(arr[lo:lo + _BLOCK], tables, codec.zeros,
-                             key="weight").min())
-               for lo in range(0, len(arr), _BLOCK))
+    return int(min(codec.weights(arr, reduce=np.min)))

@@ -130,9 +130,9 @@ class TestDualDerivation:
         calls = []
         mapping = oracle._Codec.map
 
-        def counted(codec, arr, tables, dest, **kw):
-            calls.append((len(arr), tables[0].shape[1:]))
-            return mapping(codec, arr, tables, dest, **kw)
+        def counted(codec, arr, plan, reduce=None):
+            calls.append((len(arr), plan[0][2].shape[1:]))
+            return mapping(codec, arr, plan, reduce)
 
         monkeypatch.setattr(oracle._Codec, "map", counted)
         assert len(brute_force_dual(code)) == 16

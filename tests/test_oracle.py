@@ -126,10 +126,10 @@ def block_weights(code):
     t = codec.tables
     words = codec.array(code.packed)
     ring, field = t["ring_nonzero"], t["field_nonzero"]
-    binary = codec.map(words, codec.per_coord(np.zeros_like(ring), field),
-                       codec.zeros)
-    quaternary = codec.map(words, codec.per_coord(ring, np.zeros_like(field)),
-                           codec.zeros)
+    binary = codec.map(words, codec.plan(
+        codec.per_coord(np.zeros_like(ring), field), codec.zeros, 0))
+    quaternary = codec.map(words, codec.plan(
+        codec.per_coord(ring, np.zeros_like(field)), codec.zeros, 0))
     return Counter(zip(binary.tolist(), quaternary.tolist()))
 
 
@@ -498,14 +498,14 @@ class TestDualWitnesses:
         pairings, multiples = [], []
         mapping = oracle._Codec.map
 
-        def counted(codec, arr, tables, dest, **kw):
+        def counted(codec, arr, plan, reduce=None):
             # One row's scalar multiples map a single word; the pairing
             # maps both halves of the ambient space in one call.
             if len(arr) > 1:
-                pairings.append((len(arr), tables[0].shape[1:]))
+                pairings.append((len(arr), plan[0][2].shape[1:]))
             else:
                 multiples.append(int(arr[0]))
-            return mapping(codec, arr, tables, dest, **kw)
+            return mapping(codec, arr, plan, reduce)
 
         monkeypatch.setattr(oracle._Codec, "map", counted)
         assert brute_force_dual(dual) == code
@@ -627,10 +627,8 @@ class TestGroupedPlans:
         shifted = codec.shift(arr, autom)
         assert [codec.decode(int(v)) for v in shifted] == \
             [theta_shift(w, autom) for w in words]
-        weight = codec.map(arr, codec.per_coord(codec.tables["ring_nonzero"],
-                                                codec.tables["field_nonzero"]),
-                           codec.zeros, key="weight")
-        assert weight.tolist() == [nonzero_count(w) for w in words]
+        assert codec.weights(arr).tolist() == \
+            [nonzero_count(w) for w in words]
 
     @pytest.mark.parametrize("ctx, r, s", _PLAN_SHAPES)
     def test_groups_tile_the_word_within_the_bound(self, ctx, r, s):
@@ -1046,15 +1044,18 @@ class TestMinimumDistance:
             code = span_closure([MixedWord.from_ints(
                 ctx2, [], [int(i == j) for j in range(4)]) for i in range(4)])
         best = min(nonzero_count(w) for w in code if not w.is_zero)
-        sizes = []
+        calls, sizes = [], []
         mapping = oracle._Codec.map
 
-        def counted(codec, arr, tables, dest, **kw):
-            sizes.append(len(arr))
-            return mapping(codec, arr, tables, dest, **kw)
+        def counted(codec, arr, plan, reduce=None):
+            calls.append(len(arr))
+            return mapping(codec, arr, plan,
+                           lambda acc: sizes.append(len(acc)) or reduce(acc))
 
         monkeypatch.setattr(oracle._Codec, "map", counted)
         assert min_hamming_distance(code) == best
+        # One weight pass over the nonzero words, reduced block by block.
+        assert calls == [len(code) - 1]
         assert max(sizes) <= block
         assert sum(sizes) == len(code) - 1
         if not wide:
