@@ -24,22 +24,22 @@ key); the dual's pairing tables depend on its generators and go
 through the same loop one coordinate per lookup.  Stored word sets stay
 a sorted ``np.uint64`` array, or a sorted tuple of ints for wide words.
 
-Spans are built by coset enumeration over a worklist of generator
-rows.  The scalar multiples ``K`` of a row form a subgroup of at most
-``4^m`` words, so the next span ``H + K`` is the disjoint union of the
-translates ``H + k`` over coset representatives ``k`` of
-``K / (H & K)``.  Each coset is named by its least word, read off one
-table of at most ``4^m x 4^m`` sums, and one broadcast addition writes
-every translate into one ``|reps| x |H|`` buffer, sorted once.  The
-next size ``|H| * |reps|`` is exact, so a word budget (default
-``2**24``) raises :class:`~artifact.errors.BudgetExceeded` before the
-buffer exists.  For skew closure the shift of each processed row joins
-the worklist when it is not already in the span.  The rows that grew
-the span are kept as the code's generators.
+Every span is built by one loop over packed words, ``_close``: it
+drops the words the span holds, grows the span by the first word left
+and, for skew closure, appends that word's shift to the work.  The
+words that grew the span are the code's generators.  A step adds the
+scalar multiples ``K`` of a word, a subgroup of at most ``4^m`` words,
+so the next span ``H + K`` is the disjoint union of the translates
+``H + k`` over coset representatives ``k`` of ``K / (H & K)``.  Each
+coset is named by its least word, read off one table of at most
+``4^m x 4^m`` sums, and one broadcast addition writes every translate
+into one ``|reps| x |H|`` buffer, sorted once.  The next size
+``|H| * |reps|`` is exact, so a word budget (default ``2**24``) raises
+:class:`~artifact.errors.BudgetExceeded` before the buffer exists.
 
 The dual pairs ambient words with those generators alone; a set built
 otherwise (a word list, or a dual) first gets a generating set from its
-own words by the same coset steps.  The pairing
+own words through the same loop.  The pairing
 ``<u, v> = 2 lift(sum alpha alpha') + sum beta beta'`` is
 GR(4,m)-bilinear: ``2 lift`` depends only on the residue, so
 ``<lambda u, v> = lambda <u, v>`` for every ring scalar ``lambda``, and
@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-from collections import deque
 from typing import Optional
 
 import numpy as np
@@ -100,8 +99,15 @@ def _tables(ctx: RingContext) -> dict:
 
     ``*_scaled[v, g]`` is ``v`` times ring scalar ``g`` (its mod-2 image
     on the field side), ``*_frob[k, v]`` is ``v`` under the k-th
-    Frobenius power and ``*_nonzero[v]`` is 1 for nonzero ``v``.
+    Frobenius power and ``*_nonzero[v]`` is 1 for nonzero ``v``.  The
+    scaled tables hold ``16^m`` entries, refused past the default word
+    budget before they are built.
     """
+    entries = 16 ** ctx.m
+    if entries > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"the scalar tables at m = {ctx.m} would hold "
+                             f"{entries} entries, past the budget of "
+                             f"{DEFAULT_BUDGET}")
     phi = AutomorphismSpec(ctx, 1)
     ring = list(ctx.all_ring_elems())
     tables = {}
@@ -297,8 +303,9 @@ class EnumeratedCode(Record):
 
     ``packed`` is a sorted np.uint64 array, or a sorted tuple of ints
     past 64 bits.  ``gens`` holds packed words that generate the set as
-    a GR(4,m)-module, the rows that grew a span, or None for a set that
-    was not built as one.
+    a GR(4,m)-module, in the order they grew its span, each outside the
+    span of the ones before it; or None for a set that was not built as
+    a span.
     """
 
     __slots__ = ("codec", "packed", "gens")
@@ -336,11 +343,15 @@ class EnumeratedCode(Record):
                                    other.codec.array(other.packed)))
 
 
-def _as_matrix(rows) -> MixedMatrix:
-    """A matrix unchanged, a nonempty word list as a matrix."""
-    if isinstance(rows, MixedMatrix):
-        return rows
-    return MixedMatrix.from_rows(list(rows))
+def _words(rows) -> tuple:
+    """``(codec, packed words)`` of an :class:`EnumeratedCode`, a matrix
+    or a nonempty word list; an enumerated set is read as packed."""
+    if isinstance(rows, EnumeratedCode):
+        return rows.codec, rows.codec.array(rows.packed)
+    mat = rows if isinstance(rows, MixedMatrix) else \
+        MixedMatrix.from_rows(list(rows))
+    codec = _codec(mat.ctx, mat.r, mat.s)
+    return codec, codec.array([codec.encode(w) for w in mat])
 
 
 def _isin(span: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -361,12 +372,9 @@ def _coset_reps(codec: _Codec, span: np.ndarray,
     return np.unique(codec.add(mult[:, None], inter[None, :]).min(axis=1))
 
 
-def _grow(codec: _Codec, span: np.ndarray, row, budget: int):
-    """One coset step: the sorted span of ``span`` and ``row``, or None
-    when ``span`` already holds ``row``."""
+def _grow(codec: _Codec, span: np.ndarray, row, budget: int) -> np.ndarray:
+    """One coset step: the sorted span of ``span`` and a ``row`` outside it."""
     reps = _coset_reps(codec, span, codec.multiples(row))
-    if len(reps) == 1:
-        return None
     n = len(span)
     size = n * len(reps)
     if size > budget:
@@ -378,21 +386,27 @@ def _grow(codec: _Codec, span: np.ndarray, row, budget: int):
     return grown
 
 
-def _span_generators(codec: _Codec, words: np.ndarray,
-                     budget: int) -> np.ndarray:
-    """Words that generate the span of ``words``, found greedily.
+def _close(codec: _Codec, words: np.ndarray,
+           autom: Optional[AutomorphismSpec], budget: int) -> tuple:
+    """``(span, gens)``: the sorted span of ``words`` and the words that
+    grew it, in order; with ``autom``, closed under its skew shift.
 
-    A word joins only when it lies outside the span of the ones chosen
-    before it.  Each join multiplies the span by at least ``2^m``, so
-    there are at most ``r + 2s`` of them.
+    Each step drops the words the span holds and grows it by the first
+    word left, whose shift then joins the end of the work.  The shift is
+    additive and twists scalars, ``T(sum l_i g_i) = sum theta(l_i)
+    T(g_i)``, so a word the span held has a shift spanned by the shifts
+    of earlier generators, which are ahead of it in the work: skipping
+    it changes neither the span nor the generators.
     """
     span, gens = codec.array([0]), []
-    while True:
-        outside = np.flatnonzero(~_isin(span, words))
-        if not len(outside):
-            return codec.array(gens)
-        gens.append(words[outside[0]])
-        span = _grow(codec, span, gens[-1], budget)
+    work = words
+    while len(work := work[~_isin(span, work)]):
+        span = _grow(codec, span, work[0], budget)
+        gens.append(work[0])
+        if autom is not None:
+            work = np.concatenate([work, codec.shift(work[:1], autom)])
+        work = work[1:]
+    return span, codec.array(gens)
 
 
 def span_closure(rows, autom: Optional[AutomorphismSpec] = None,
@@ -401,12 +415,14 @@ def span_closure(rows, autom: Optional[AutomorphismSpec] = None,
     """Enumerate the module span of some rows, optionally shift-closed.
 
     ``rows`` is a :class:`MixedMatrix`, which carries the code's shape
-    even with no rows (its span is the zero code), or a nonempty
-    sequence of words, such as an :class:`EnumeratedCode`.
+    even with no rows (its span is the zero code), an
+    :class:`EnumeratedCode`, read as its packed words (an empty one
+    spans the zero code), or a nonempty sequence of words.
 
-    With ``skew=True`` (requires ``autom``) the skew shift of every
-    processed row joins the worklist unless the span already holds it,
-    so the result is the smallest skew cyclic code containing the rows.
+    With ``skew=True`` (requires ``autom``) the skew shift of every row
+    that grew the span joins the end of the work, so the result is the
+    smallest skew cyclic code containing the rows; the shift of a row
+    the span already held is in the span of the generators' shifts.
     The rows that grew the span, shifted ones included, become the
     result's ``gens``.
 
@@ -414,25 +430,17 @@ def span_closure(rows, autom: Optional[AutomorphismSpec] = None,
     ------
     BudgetExceeded
         Before allocating a span of more than ``budget`` words.
+    ContextMismatch
+        With ``skew=True`` and no ``autom``, or one of another context.
     """
-    mat = _as_matrix(rows)
+    codec, words = _words(rows)
     if skew and autom is None:
         raise ContextMismatch("skew closure needs an automorphism")
-    codec = _codec(mat.ctx, mat.r, mat.s)
-    span = codec.array([0])
-    gens = []
-    work = deque(codec.array([codec.encode(w) for w in mat]))
-    while work:
-        row = work.popleft()
-        grown = _grow(codec, span, row, budget)
-        if grown is not None:
-            span = grown
-            gens.append(row)
-        if skew:
-            shifted = codec.shift(codec.array([row]), autom)
-            if not _isin(span, shifted)[0]:
-                work.append(shifted[0])
-    return EnumeratedCode(codec, codec.store(span), codec.array(gens))
+    if skew and autom.ctx != codec.ctx:
+        # Checked here: a code no word grows never reaches the shift.
+        raise ContextMismatch("automorphism from a different context")
+    span, gens = _close(codec, words, autom if skew else None, budget)
+    return EnumeratedCode(codec, codec.store(span), gens)
 
 
 def _lanes(v, m: int, width: int, lane: int):
@@ -447,8 +455,9 @@ def brute_force_dual(code, budget: int = DEFAULT_BUDGET) -> EnumeratedCode:
     The pairing is GR(4,m)-bilinear (``2 lift`` depends only on the
     residue, so ``<lambda u, v> = lambda <u, v>``), so a word is
     orthogonal to the code exactly when it is orthogonal to the code's
-    ``gens``; a set without them gets a generating set from its own
-    words first.  The pairing is also additive in the ambient word.
+    ``gens``; a set without them first gets them from its own words,
+    the ones that grow their span in ``_close``.  The pairing is also
+    additive in the ambient word.
     Split at the middle bit, every ambient word is ``low + high`` for
     exactly one low half and one high half, and it lies in the dual
     exactly when ``P(low) = -P(high)``, ``P`` being its vector of
@@ -471,7 +480,7 @@ def brute_force_dual(code, budget: int = DEFAULT_BUDGET) -> EnumeratedCode:
 
     gens = code.gens
     if gens is None:
-        gens = _span_generators(codec, codec.array(code.packed), budget)
+        gens = _close(codec, codec.array(code.packed), None, budget)[1]
     if not len(gens):
         # The zero word generates the zero code; a key needs a column.
         gens = codec.array([0])
@@ -527,10 +536,8 @@ def brute_force_dual(code, budget: int = DEFAULT_BUDGET) -> EnumeratedCode:
 def _ensure_enumerated(code) -> EnumeratedCode:
     if isinstance(code, EnumeratedCode):
         return code
-    mat = _as_matrix(code)
-    codec = _codec(mat.ctx, mat.r, mat.s)
-    keys = np.unique(codec.array([codec.encode(w) for w in mat]))
-    return EnumeratedCode(codec, codec.store(keys), None)
+    codec, words = _words(code)
+    return EnumeratedCode(codec, codec.store(np.unique(words)), None)
 
 
 def is_skew_cyclic(code, autom: AutomorphismSpec) -> bool:
@@ -589,7 +596,7 @@ def classify_z4_skew_cyclic(code, autom: AutomorphismSpec) -> Classification:
     codec = code.codec
     if codec.r != 0:
         raise ShapeMismatch("classification applies to quaternary codes only")
-    ctx, s = codec.ctx, codec.s
+    ctx = codec.ctx
 
     arr = codec.array(code.packed)
     # Sorted: a nonzero word would come last, zero would come first.
@@ -613,10 +620,13 @@ def classify_z4_skew_cyclic(code, autom: AutomorphismSpec) -> Classification:
     # codec.ascending orders doubled words as their halves: the index of
     # 2b is the index of b spread over the high bit of each pair.
 
-    def least(select, degree: int, lead: int) -> list:
-        """Coefficients of the first word, by ``codec.ascending``, of those in
+    witnesses = []
+
+    def least(select, degree: int, lead: int) -> SkewPoly:
+        """The first word, by ``codec.ascending``, of those in
         ``words[select]`` (all of ``degree``) whose leading coordinate
-        has index ``lead``.  Only this word is decoded.
+        has index ``lead``.  It joins ``witnesses``, and only it is
+        decoded, to its polynomial.
 
         In a module each word of ``select`` has a unit multiple with
         that lead, so finding none means the set is not one.
@@ -626,21 +636,17 @@ def classify_z4_skew_cyclic(code, autom: AutomorphismSpec) -> Classification:
         cand = cand[((cand >> src) & mask) == lead]
         if not len(cand):
             raise NotACode("the set lacks the scalar multiples of its words")
-        return codec.decode(int(cand[np.argmin(codec.ascending(cand))])).beta
-
-    def as_word(poly: SkewPoly) -> MixedWord:
-        return MixedWord(ctx, [], [poly.coeff(i) for i in range(s)])
+        witnesses.append(cand[np.argmin(codec.ascending(cand))])
+        return SkewPoly(autom, codec.decode(int(witnesses[-1])).beta, True)
 
     g = a = q = None
-    witness_rows = []
     if unit.any():
         dmin = deg[unit].min()
         case = "ii" if dmin == deg.min() else "iii"
-        cand = SkewPoly(autom, least(unit & (deg == dmin), dmin,
-                                     ctx.ring_index(ctx.ring_one())), True)
+        cand = least(unit & (deg == dmin), dmin,
+                     ctx.ring_index(ctx.ring_one()))
         g = cand.mod2().lift()
         a = (cand - g).halve().lift()
-        witness_rows.append(as_word(cand))
     else:
         case = "i"
     if case != "ii":
@@ -650,17 +656,15 @@ def classify_z4_skew_cyclic(code, autom: AutomorphismSpec) -> Classification:
         if not doubled.any():
             raise NotACode("the set lacks the doubles of its words")
         hmin = deg[doubled].min()
-        half = least(doubled & (deg == hmin), hmin,
-                     ctx.ring_index(ctx.ring((2,))))
-        q = SkewPoly(autom, half, True).halve().lift()
-        witness_rows.append(as_word((2 * q).reduce_mod_xn(s)))
+        # The doubled word d is its own witness: 2 lift(halve(d)) = d.
+        q = least(doubled & (deg == hmin), hmin,
+                  ctx.ring_index(ctx.ring((2,)))).halve().lift()
 
     try:
-        regen = span_closure(witness_rows, autom=autom, skew=True,
-                             budget=len(arr))
+        regen = _close(codec, codec.array(witnesses), autom, len(arr))[0]
     except BudgetExceeded:
         regen = None
-    if not regen == code:
+    if not np.array_equal(regen, arr):
         # A code equals the skew closure of its witnesses, so only a
         # failed regeneration needs the shift check to name the fault.
         if not is_skew_cyclic(code, autom):

