@@ -10,8 +10,8 @@ region, so whole arrays of words combine in a few vector operations.
 
 Every operation runs on one numpy array of packed words; the word width
 only picks its dtype, ``np.uint64`` up to 64 bits and ``object``
-(Python ints) beyond.  Scalar multiples, the skew shift, weights and
-the dual's inner products are one mapping step: a sum over coordinates
+(Python ints) beyond.  Scalar multiples, the skew shift and the dual's
+inner products are one mapping step: a sum over coordinates
 of a dense table, indexed by the coordinate and placed at a destination
 offset.  The tables (scalar times element, Frobenius powers) are built
 once per context from element arithmetic.  Adjacent coordinates share
@@ -19,10 +19,13 @@ one lookup: their placed tables add up to one table over the group's
 bits, kept while it holds at most ``2**10`` entries, so a sum of
 lookups stays the same sum.  One codec per (context, r, s) shape is
 cached, and it keeps these grouped plans for the fixed table kinds
-(scalar multiples, each Frobenius shift, weights, the classifier's
-key); the dual's pairing tables depend on its generators and go
-through the same loop one coordinate per lookup.  Stored word sets stay
-a sorted ``np.uint64`` array, or a sorted tuple of ints for wide words.
+(scalar multiples, each Frobenius shift, the classifier's key); the
+dual's pairing tables depend on its generators and go through the same
+loop one coordinate per lookup.  Weights need no table: each
+coordinate's bits are ORed down onto its lowest bit, and the bit count
+of those lowest bits is the number of nonzero coordinates.  Whole-array
+passes run in blocks of ``_BLOCK`` words.  Stored word sets stay a
+sorted ``np.uint64`` array, or a sorted tuple of ints for wide words.
 
 Every span is built by one loop over packed words, ``_close``: it
 drops the words the span holds, grows the span by the first word left
@@ -88,7 +91,12 @@ __all__ = [
     "min_hamming_distance",
 ]
 
-_BLOCK = 1 << 16  # words per mapping step, small enough for the cache
+# Words per block of a whole-array pass, whose 128 KB temporaries stay
+# in cache.  On a 2-vCPU Xeon, over 2^16 words at m = 2, r = 4, s = 6,
+# the weight pass took 0.2 ms in blocks of 2^13 or 2^14 words, 0.3 at
+# 2^12 and 0.5 at 2^15 or 2^16, and the shift 0.46 ms at 2^14 against
+# 0.79 at 2^16 (``block_sweep`` in BENCH_weights.json).
+_BLOCK = 1 << 14
 _GROUP = 1 << 10  # entries of one grouped table, trailing axes counted
 _CODECS = 32  # cached codecs, one per (context, r, s) shape
 
@@ -98,10 +106,9 @@ def _tables(ctx: RingContext) -> dict:
     """Dense ``np.uint64`` tables over ``ring_index``/``field_index``.
 
     ``*_scaled[v, g]`` is ``v`` times ring scalar ``g`` (its mod-2 image
-    on the field side), ``*_frob[k, v]`` is ``v`` under the k-th
-    Frobenius power and ``*_nonzero[v]`` is 1 for nonzero ``v``.  The
-    scaled tables hold ``16^m`` entries, refused past the default word
-    budget before they are built.
+    on the field side) and ``*_frob[k, v]`` is ``v`` under the k-th
+    Frobenius power.  The scaled tables hold ``16^m`` entries, refused
+    past the default word budget before they are built.
     """
     entries = 16 ** ctx.m
     if entries > DEFAULT_BUDGET:
@@ -119,7 +126,6 @@ def _tables(ctx: RingContext) -> dict:
                                     for v in elems]
         tables[f"{side}_frob"] = [[index(phi.apply_power(v, k))
                                    for v in elems] for k in range(ctx.m)]
-        tables[f"{side}_nonzero"] = [int(bool(v)) for v in elems]
     return {name: np.array(t, dtype=np.uint64) for name, t in tables.items()}
 
 
@@ -151,6 +157,18 @@ class _Codec:
         self.zeros = [word(0)] * (r + s)
         self.masks = self.per_coord(word((1 << (2 * m)) - 1),
                                     word((1 << m) - 1))
+        # For weights: (steps, lowest bits) per region in use, binary
+        # first; the quaternary steps carry the fold on from m to 2m bits.
+        self.fold, steps, cover = [], [], 1
+        for width, region in ((m, binary), (2 * m, quat)):
+            while cover < width:
+                step = min(cover, width - cover)
+                steps.append(word(step))
+                cover += step
+            if region:
+                self.fold.append((steps, word(sum(1 << int(src)
+                                                  for src in region))))
+                steps = []
         self.tables = {name: t.astype(self.dtype)
                        for name, t in _tables(ctx).items()}
         self.plans = {}
@@ -243,7 +261,9 @@ class _Codec:
         """
         size = len(arr) if reduce is None else min(len(arr), _BLOCK)
         out = np.empty((size,) + plan[0][2].shape[1:], dtype=self.dtype)
-        col = np.empty(min(len(arr), _BLOCK), dtype=np.intp)
+        # uint64 indices read as intp: a view, where an intp buffer would
+        # convert them once per group.  Group indices stay below 2^63.
+        col = np.empty(min(len(arr), _BLOCK), dtype=np.uint64)
         reduced = []
         for lo in range(0, len(arr), _BLOCK):
             part = arr[lo:lo + _BLOCK]
@@ -252,7 +272,7 @@ class _Codec:
             idx = col[:len(part)]
             for src, mask, table in plan:
                 np.bitwise_and(part >> src, mask, out=idx, casting="unsafe")
-                acc += table[idx]
+                acc += table[idx.view(np.intp)]
             if reduce is not None:
                 reduced.append(reduce(acc))
         return out if reduce is None else reduced
@@ -275,11 +295,31 @@ class _Codec:
         return self.map(arr, plan)
 
     def weights(self, arr: np.ndarray, reduce=None):
-        """Nonzero coordinates per word; ``reduce`` as in ``map``."""
-        plan = self._planned("weight", lambda: (
-            self.per_coord(self.tables["ring_nonzero"],
-                           self.tables["field_nonzero"]), self.zeros))
-        return self.map(arr, plan, reduce)
+        """Nonzero coordinates per word; ``reduce`` as in ``map``.
+
+        ``x | (x >> step)`` with ``step <= cover`` widens the run of bits
+        that each bit of ``x`` ORs together from ``cover`` to ``cover +
+        step``.  The steps of ``fold`` keep ``cover`` at most the width
+        of a coordinate, so a coordinate's lowest bit only ever ORs its
+        own bits: the binary ones are read at ``cover = m``, the
+        quaternary ones at ``2m``, and the weight is the bit count of
+        the lowest bits read.  No region needs a mask.
+        """
+        out = np.empty(len(arr) if reduce is None else 0,
+                       dtype=np.uint8 if self.vector else object)
+        reduced = []
+        for lo in range(0, len(arr), _BLOCK):
+            x, found = arr[lo:lo + _BLOCK], 0
+            for steps, lows in self.fold:
+                for step in steps:
+                    x = x | (x >> step)
+                found = found | (x & lows)
+            count = np.bitwise_count(found)
+            if reduce is None:
+                out[lo:lo + _BLOCK] = count
+            else:
+                reduced.append(reduce(count))
+        return out if reduce is None else reduced
 
     def ascending(self, arr: np.ndarray) -> np.ndarray:
         """Quaternary words (``r = 0``) with their coordinates reversed.

@@ -123,9 +123,12 @@ def krawtchouk(k, i, n, q):
 def block_weights(code):
     """Counts of (binary weight, quaternary weight) over the code."""
     codec = code.codec
-    t = codec.tables
+    ctx = codec.ctx
     words = codec.array(code.packed)
-    ring, field = t["ring_nonzero"], t["field_nonzero"]
+    # Nonzero tables of its own, so the witness does not lean on the
+    # codec's weight fold.
+    ring, field = (np.array([int(bool(v)) for v in elems], dtype=codec.dtype)
+                   for elems in (ctx.all_ring_elems(), ctx.all_field_elems()))
     binary = codec.map(words, codec.plan(
         codec.per_coord(np.zeros_like(ring), field), codec.zeros, 0))
     quaternary = codec.map(words, codec.plan(
@@ -711,12 +714,24 @@ class TestGroupedPlans:
             [nonzero_count(w) for w in words]
 
     @pytest.mark.parametrize("ctx, r, s", _PLAN_SHAPES)
+    def test_weight_fold_stays_in_each_coordinate(self, ctx, r, s):
+        # Each bit alone, every bit, and the top bit of every coordinate
+        # (2 w^(m-1) or w^(m-1)): a fold step past a coordinate's width
+        # would OR the next coordinate's bits into its lowest bit.
+        codec = oracle._Codec(ctx, r, s)
+        tops = sum(1 << (int(src) + width - 1)
+                   for src, width in zip(codec.offsets, codec.widths))
+        words = [1 << b for b in range(codec.bits)] + \
+            [(1 << codec.bits) - 1, tops]
+        assert codec.weights(codec.array(words)).tolist() == \
+            [1] * codec.bits + [r + s] * 2
+
+    @pytest.mark.parametrize("ctx, r, s", _PLAN_SHAPES)
     def test_groups_tile_the_word_within_the_bound(self, ctx, r, s):
         codec = oracle._Codec(ctx, r, s)
         t = codec.tables
         kinds = [(t["ring_scaled"], t["field_scaled"], codec.offsets),
-                 (t["ring_frob"][0], t["field_frob"][0], codec.rotated),
-                 (t["ring_nonzero"], t["field_nonzero"], codec.zeros)]
+                 (t["ring_frob"][0], t["field_frob"][0], codec.rotated)]
         for ring, field, dest in kinds:
             plan = codec.plan(codec.per_coord(ring, field), dest,
                               oracle._GROUP)
@@ -782,11 +797,11 @@ class TestCodecCache:
             assert min_hamming_distance(code) == min(
                 nonzero_count(w) for w in code if not w.is_zero)
             codes.append(code)
-        # Scalar multiples, the shift at t = 1 and the weights.
-        assert built == [oracle._GROUP] * 3
+        # Scalar multiples and the shift at t = 1; weights take no plan.
+        assert built == [oracle._GROUP] * 2
         assert codes[0].codec is codes[2].codec
         assert sorted(map(str, codes[0].codec.plans)) == \
-            ["('frob', 1)", "scaled", "weight"]
+            ["('frob', 1)", "scaled"]
 
     def test_classifier_builds_its_plans_once(self, ctx2, autom2,
                                               monkeypatch):
@@ -1125,14 +1140,14 @@ class TestMinimumDistance:
                 ctx2, [], [int(i == j) for j in range(4)]) for i in range(4)])
         best = min(nonzero_count(w) for w in code if not w.is_zero)
         calls, sizes = [], []
-        mapping = oracle._Codec.map
+        weights = oracle._Codec.weights
 
-        def counted(codec, arr, plan, reduce=None):
+        def counted(codec, arr, reduce=None):
             calls.append(len(arr))
-            return mapping(codec, arr, plan,
+            return weights(codec, arr,
                            lambda acc: sizes.append(len(acc)) or reduce(acc))
 
-        monkeypatch.setattr(oracle._Codec, "map", counted)
+        monkeypatch.setattr(oracle._Codec, "weights", counted)
         assert min_hamming_distance(code) == best
         # One weight pass over the nonzero words, reduced block by block.
         assert calls == [len(code) - 1]
