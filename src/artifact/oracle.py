@@ -16,28 +16,31 @@ of a dense table, indexed by the coordinate and placed at a destination
 offset.  The tables (scalar times element, Frobenius powers) are built
 once per context from element arithmetic.  Adjacent coordinates share
 one lookup: their placed tables add up to one table over the group's
-bits, kept while it holds at most ``2**10`` entries, so a sum of
-lookups stays the same sum.  One codec per (context, r, s) shape is
-cached, and it keeps these grouped plans for the fixed table kinds
-(scalar multiples, each Frobenius shift, the classifier's key); the
-dual's pairing tables depend on its generators and go through the same
-loop one coordinate per lookup.  Weights need no table: each
-coordinate's bits are ORed down onto its lowest bit, and the bit count
-of those lowest bits is the number of nonzero coordinates.  Whole-array
-passes run in blocks of ``_BLOCK`` words.  Stored word sets stay a
-sorted ``np.uint64`` array, or a sorted tuple of ints for wide words.
+bits, kept while it holds at most ``2**12`` entries (``2**10`` past 64
+bits, whose entries are Python ints), so a sum of lookups stays the
+same sum.  One codec per (context, r, s) shape is cached, and it keeps
+these grouped plans for the fixed table kinds (scalar multiples, each
+Frobenius shift, the classifier's key); the dual's pairing tables
+depend on its generators and go through the same loop one coordinate
+per lookup.  Weights need no table: each coordinate's bits are ORed
+down onto its lowest bit, and the bit count of those lowest bits is the
+number of nonzero coordinates.  Whole-array passes run in blocks of
+``_BLOCK`` words.  Stored word sets stay a sorted ``np.uint64`` array,
+or a sorted tuple of ints for wide words.
 
-Every span is built by one loop over packed words, ``_close``: it
-drops the words the span holds, grows the span by the first word left
-and, for skew closure, appends that word's shift to the work.  The
-words that grew the span are the code's generators.  A step adds the
-scalar multiples ``K`` of a word, a subgroup of at most ``4^m`` words,
-so the next span ``H + K`` is the disjoint union of the translates
-``H + k`` over coset representatives ``k`` of ``K / (H & K)``.  Each
-coset is named by its least word, read off one table of at most
-``4^m x 4^m`` sums, and one broadcast addition writes every translate
-into one ``|reps| x |H|`` buffer, sorted once.  The next size
-``|H| * |reps|`` is exact, so a word budget (default ``2**24``) raises
+Every span is built by one loop over packed words, ``_close``, in
+rounds: a round drops the words the span holds and grows the span by
+each word left in turn; for skew closure, the shifts of the words that
+grew it make the next round.  Those words are the code's generators.
+A round maps the multiples of its words at most ``bits`` words a call
+and shifts its generators in one call.  A step adds the scalar
+multiples ``K`` of a word, a subgroup of at most ``4^m`` words, so the
+next span ``H + K`` is the disjoint union of the translates ``H + k``
+over coset representatives ``k`` of ``K / (H & K)``.  Each coset is
+named by its least word, read off one table of at most ``4^m x 4^m``
+sums, and one broadcast addition writes every translate into one
+``|reps| x |H|`` buffer, sorted once.  The next size ``|H| * |reps|``
+is exact, so a word budget (default ``2**24``) raises
 :class:`~artifact.errors.BudgetExceeded` before the buffer exists.
 
 The dual pairs ambient words with those generators alone; a set built
@@ -97,7 +100,13 @@ __all__ = [
 # 2^12 and 0.5 at 2^15 or 2^16, and the shift 0.46 ms at 2^14 against
 # 0.79 at 2^16 (``block_sweep`` in BENCH_weights.json).
 _BLOCK = 1 << 14
-_GROUP = 1 << 10  # entries of one grouped table, trailing axes counted
+# Entries of one grouped table, trailing axes counted: 2^12 uint64
+# entries are 32 KB.  A shift of 2^16 words at m = 2, r = s = 8 took 4
+# lookups and 0.53-0.84 ms, against 6 and 0.73-1.16 ms at 2^10; larger
+# bounds were no faster and raised enumerate's peak RSS (``group_sweep``
+# in BENCH_closure.json).  An object entry also points to an int of
+# about 36 bytes, so codecs past 64 bits take a quarter as many.
+_GROUP = 1 << 12
 _CODECS = 32  # cached codecs, one per (context, r, s) shape
 
 
@@ -143,6 +152,7 @@ class _Codec:
         self.q_width = 2 * m * s
         self.vector = self.bits <= 64
         self.dtype = np.uint64 if self.vector else object
+        self.group = _GROUP if self.vector else _GROUP >> 2
         # Shift amounts and masks share the words' type, so numpy keeps
         # uint64 arithmetic on uint64 and exact ints on object arrays.
         word = np.uint64 if self.vector else int
@@ -247,7 +257,7 @@ class _Codec:
         """The grouped plan ``name``, from ``plan(*build())`` on first use."""
         plan = self.plans.get(name)
         if plan is None:
-            plan = self.plans[name] = self.plan(*build(), _GROUP)
+            plan = self.plans[name] = self.plan(*build(), self.group)
         return plan
 
     def map(self, arr: np.ndarray, plan: list, reduce=None):
@@ -277,12 +287,13 @@ class _Codec:
                 reduced.append(reduce(acc))
         return out if reduce is None else reduced
 
-    def multiples(self, word) -> np.ndarray:
-        """Distinct scalar multiples of one packed word, sorted."""
+    def multiples(self, arr: np.ndarray) -> np.ndarray:
+        """The scalar multiples of every word: one row per word, with one
+        entry per ring scalar, so unsorted and possibly repeating."""
         plan = self._planned("scaled", lambda: (
             self.per_coord(self.tables["ring_scaled"],
                            self.tables["field_scaled"]), self.offsets))
-        return np.unique(self.map(self.array([word]), plan))
+        return self.map(arr, plan)
 
     def shift(self, arr: np.ndarray, autom: AutomorphismSpec) -> np.ndarray:
         """The skew shift of every word: rotate each block, twist entries."""
@@ -404,17 +415,20 @@ def _coset_reps(codec: _Codec, span: np.ndarray,
                 mult: np.ndarray) -> np.ndarray:
     """The least word of each coset of ``H & K`` in ``K``, sorted.
 
-    ``H`` is the sorted span and ``K`` the sorted scalar multiples
-    ``mult`` of one row; the table of sums has at most ``4^m x 4^m``
-    entries.
+    ``H`` is the sorted span and ``K`` the scalar multiples of one word,
+    given as its row ``mult`` of ``multiples``: unsorted, and a repeated
+    multiple names the same coset, so the final ``np.unique`` drops it.
+    The table of sums has at most ``4^m x 4^m`` entries.
     """
     inter = mult[_isin(span, mult)]
     return np.unique(codec.add(mult[:, None], inter[None, :]).min(axis=1))
 
 
-def _grow(codec: _Codec, span: np.ndarray, row, budget: int) -> np.ndarray:
-    """One coset step: the sorted span of ``span`` and a ``row`` outside it."""
-    reps = _coset_reps(codec, span, codec.multiples(row))
+def _grow(codec: _Codec, span: np.ndarray, mult: np.ndarray,
+          budget: int) -> np.ndarray:
+    """One coset step: the sorted span of ``span`` and a word outside it,
+    given as its row ``mult`` of ``multiples``."""
+    reps = _coset_reps(codec, span, mult)
     n = len(span)
     size = n * len(reps)
     if size > budget:
@@ -431,22 +445,29 @@ def _close(codec: _Codec, words: np.ndarray,
     """``(span, gens)``: the sorted span of ``words`` and the words that
     grew it, in order; with ``autom``, closed under its skew shift.
 
-    Each step drops the words the span holds and grows it by the first
-    word left, whose shift then joins the end of the work.  The shift is
-    additive and twists scalars, ``T(sum l_i g_i) = sum theta(l_i)
-    T(g_i)``, so a word the span held has a shift spanned by the shifts
-    of earlier generators, which are ahead of it in the work: skipping
-    it changes neither the span nor the generators.
+    Round 0 is ``words``, round k+1 the shifts of the words that grew
+    the span in round k: the order of a queue that grows the span by its
+    first word left and appends that word's shift.  The shift is additive
+    and twists scalars, ``T(sum l_i g_i) = sum theta(l_i) T(g_i)``, so a
+    word the span held has a shift spanned by the shifts of earlier
+    generators, which come before it: skipping it changes neither the
+    span nor the generators.  A round maps the multiples of at most
+    ``codec.bits`` words a call, as each step at least doubles a span of
+    at most ``2^bits`` words, and shifts its generators at once.
     """
-    span, gens = codec.array([0]), []
-    work = words
-    while len(work := work[~_isin(span, work)]):
-        span = _grow(codec, span, work[0], budget)
-        gens.append(work[0])
-        if autom is not None:
-            work = np.concatenate([work, codec.shift(work[:1], autom)])
-        work = work[1:]
-    return span, codec.array(gens)
+    span, gens, found, work = codec.array([0]), [], 0, words
+    while True:
+        while len(work := work[~_isin(span, work)]):
+            head, work = work[:codec.bits], work[codec.bits:]
+            mults = codec.multiples(head)
+            while len(head):
+                span = _grow(codec, span, mults[0], budget)
+                gens.append(head[0])
+                left = ~_isin(span, head[1:])
+                head, mults = head[1:][left], mults[1:][left]
+        if autom is None or len(gens) == found:
+            return span, codec.array(gens)
+        work, found = codec.shift(codec.array(gens[found:]), autom), len(gens)
 
 
 def span_closure(rows, autom: Optional[AutomorphismSpec] = None,

@@ -114,6 +114,22 @@ def scan_coset_reps(codec, span, mult):
     return reps
 
 
+def queue_close(codec, words, autom):
+    """``(span, gens)`` by a queue of single words: drop the words the
+    span holds, grow it by the first word left and, with ``autom``,
+    append that word's shift to the queue."""
+    span, gens = codec.array([0]), []
+    work = words
+    while len(work := work[~oracle._isin(span, work)]):
+        mult = codec.multiples(work[:1])[0]
+        span = oracle._grow(codec, span, mult, oracle.DEFAULT_BUDGET)
+        gens.append(work[0])
+        if autom is not None:
+            work = np.concatenate([work, codec.shift(work[:1], autom)])
+        work = work[1:]
+    return span, codec.array(gens)
+
+
 def krawtchouk(k, i, n, q):
     """Coefficient of ``X^(n-k) Y^k`` in ``(X + (q-1)Y)^(n-i) (X - Y)^i``."""
     return sum((-1) ** h * math.comb(i, h) * math.comb(n - i, k - h)
@@ -399,8 +415,10 @@ class TestSpanProperties:
         span = codec.array([0])
         for row in rows:
             packed = codec.encode(row)
-            mult = codec.multiples(packed)
-            reps = scan_coset_reps(codec, span, mult)
+            # The raw row of multiples, unsorted and with repeats, against
+            # a scan of its distinct multiples.
+            mult = codec.multiples(codec.array([packed]))[0]
+            reps = scan_coset_reps(codec, span, np.unique(mult))
             assert [int(k) for k in oracle._coset_reps(codec, span, mult)] \
                 == [int(k) for k in reps]
             # A row the span holds leaves one coset, and only such a row.
@@ -408,7 +426,7 @@ class TestSpanProperties:
             assert (len(reps) == 1) == held
             if held:
                 continue
-            grown = oracle._grow(codec, span, packed, oracle.DEFAULT_BUDGET)
+            grown = oracle._grow(codec, span, mult, oracle.DEFAULT_BUDGET)
             ref = np.sort(np.concatenate([codec.add(span, k) for k in reps]))
             assert grown.dtype == codec.dtype
             assert [int(v) for v in grown] == [int(v) for v in ref]
@@ -438,6 +456,53 @@ class TestClosureLoop:
         assert all(a < b for a, b in zip(sizes, sizes[1:]))
         assert span_closure(MixedMatrix(ctx, code.r, code.s, gens)) == code
 
+    @settings(max_examples=40)
+    @given(st.data(), st.sampled_from([
+        (_CTX1, _M1_SHAPES), (_CTX2, _SMALL_SHAPES), (_CTX3, _M3_SHAPES),
+        (_CTX3, None)]), st.sampled_from([1, 2]), st.booleans(),
+        st.sampled_from(["rows", "dependent", "enumerated"]))
+    def test_rounds_match_the_one_word_queue(self, data, ctx_shapes, t, skew,
+                                             source):
+        ctx, shapes = ctx_shapes
+        if shapes is None:
+            # 66-bit words whose skew closure stays within 2^12 words.
+            rows = wide_rows(ctx)
+        else:
+            rows = data.draw(random_rows(ctx, shapes, 3))
+        if source == "dependent":
+            # A sum ahead of its second term, and a double at the end.
+            rows = [rows[0], rows[0] + rows[-1], *rows[1:],
+                    rows[-1].scale(ctx.ring((2,)))]
+        codec = oracle._codec(ctx, rows[0].r, rows[0].s)
+        if source == "enumerated":
+            # The sorted words of a set without gens, as a dual is read.
+            words = codec.array(span_closure(rows).packed)
+        else:
+            words = codec.array([codec.encode(w) for w in rows])
+        autom = AutomorphismSpec(ctx, t) if skew else None
+        span, gens = oracle._close(codec, words, autom, oracle.DEFAULT_BUDGET)
+        ref_span, ref_gens = queue_close(codec, words, autom)
+        assert span.dtype == codec.dtype
+        assert [int(v) for v in span] == [int(v) for v in ref_span]
+        assert [int(g) for g in gens] == [int(g) for g in ref_gens]
+
+    def test_a_set_without_gens_maps_few_multiples_a_call(self, ctx2,
+                                                          monkeypatch):
+        dual = brute_force_dual(span_closure(
+            [MixedWord.from_ints(ctx2, [1], [2, 2, 0])]))
+        assert (len(dual), dual.gens) == (4096, None)
+        sizes = []
+        multiples = oracle._Codec.multiples
+        monkeypatch.setattr(oracle._Codec, "multiples",
+                            lambda codec, arr: sizes.append(len(arr))
+                            or multiples(codec, arr))
+        again = span_closure(dual)
+        assert again == dual
+        # Every call's first word grows the span, so there are at most
+        # as many calls as generators, of at most codec.bits words each.
+        assert max(sizes) <= dual.codec.bits
+        assert len(sizes) <= len(again.gens)
+
     def test_dependent_rows_cost_no_step(self, ctx2, autom2, monkeypatch):
         # The third row is the sum of the first two, and the second is
         # the shift of the first: of the four rows and their shifts only
@@ -453,9 +518,9 @@ class TestClosureLoop:
             monkeypatch.setattr(oracle._Codec, name, counted)
         code = span_closure(rows, autom=autom2, skew=True)
         assert (len(code), len(code.gens)) == (64, 3)
-        # One scalar-multiple table and one shift per generator: a word
-        # the span already holds costs neither.
-        assert calls == {"multiples": 3, "shift": 3}
+        # One map of multiples and one shift per round: the rows, then
+        # the generators' shifts, which the span holds.
+        assert calls == {"multiples": 1, "shift": 1}
 
     def test_enumerated_input_is_read_packed(self, ctx2, monkeypatch):
         code = span_closure(r1s1_rows(ctx2))
@@ -574,12 +639,12 @@ class TestDualWitnesses:
         mapping = oracle._Codec.map
 
         def counted(codec, arr, plan, reduce=None):
-            # One row's scalar multiples map a single word; the pairing
-            # maps both halves of the ambient space in one call.
-            if len(arr) > 1:
-                pairings.append((len(arr), plan[0][2].shape[1:]))
+            # Scalar multiples map at most codec.bits words a call; the
+            # pairing maps both halves of the ambient space in one call.
+            if plan is codec.plans.get("scaled"):
+                multiples.append([int(v) for v in arr])
             else:
-                multiples.append(int(arr[0]))
+                pairings.append((len(arr), plan[0][2].shape[1:]))
             return mapping(codec, arr, plan, reduce)
 
         monkeypatch.setattr(oracle._Codec, "map", counted)
@@ -587,7 +652,9 @@ class TestDualWitnesses:
         # 14 bits split at bit 7: 2^7 + 2^7 words, not 2^14, with one
         # key column per generator.
         assert pairings == [(256, (len(gens),))]
-        assert multiples == [int(g) for g in gens]
+        assert all(len(words) <= dual.codec.bits for words in multiples)
+        mapped = {v for words in multiples for v in words}
+        assert all(int(g) in mapped for g in gens)
 
     def test_zero_code_has_the_ambient_dual(self, ctx2):
         empty = MixedMatrix(ctx2, 1, 2)
@@ -758,20 +825,40 @@ class TestGroupedPlans:
         # binary ones (8 x 64 entries) cannot pair either.
         codec = oracle._Codec(ctx3, 2, 3)
         t = codec.tables
+        bound = 1 << 10
         plan = codec.plan(codec.per_coord(t["ring_scaled"], t["field_scaled"]),
-                          codec.offsets, oracle._GROUP)
+                          codec.offsets, bound)
         assert [(int(src), int(mask)) for src, mask, _ in plan] == \
             [(0, 63), (6, 63), (12, 63), (18, 7), (21, 7)]
-        assert plan[0][2].size == 4096 > oracle._GROUP
+        assert plan[0][2].size == 4096 > bound
         # The shift's 64-entry tables do pair up within the bound.
         shift = codec.plan(codec.per_coord(t["ring_frob"][1],
                                            t["field_frob"][1]),
-                           codec.rotated, oracle._GROUP)
+                           codec.rotated, bound)
         assert len(shift) < 5
         rows = [MixedWord.from_ints(ctx3, [1, 5], [3, 0, 9])]
         code = span_closure(rows)
-        assert len(code) == len(set(code.codec.multiples(
-            code.codec.encode(rows[0])).tolist()))
+        assert len(code) == len(set(code.codec.multiples(code.codec.array(
+            [code.codec.encode(rows[0])]))[0].tolist()))
+
+
+    def test_the_bound_follows_the_word_layout(self, ctx2, autom2,
+                                               monkeypatch):
+        # 2^12 uint64 entries and 2^10 object entries, each about 32 KB.
+        bounds = []
+        plan = oracle._Codec.plan
+        monkeypatch.setattr(oracle._Codec, "plan",
+                            lambda codec, tables, dest, bound:
+                            bounds.append((codec.vector, bound))
+                            or plan(codec, tables, dest, bound))
+        narrow, wide = oracle._Codec(ctx2, 8, 8), oracle._Codec(ctx2, 4, 16)
+        for codec in (narrow, wide):
+            codec.shift(codec.array([1]), autom2)
+        assert bounds == [(True, 1 << 12), (False, 1 << 10)]
+        # 48 bits in four lookups of 12 bits each.
+        assert [int(mask) for _, mask, _ in narrow.plans[("frob", 1)]] == \
+            [(1 << 12) - 1] * 4
+        assert max(t.size for _, _, t in wide.plans[("frob", 1)]) == 1 << 10
 
 
 class TestCodecCache:
