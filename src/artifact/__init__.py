@@ -8,65 +8,52 @@ matrices, skew cyclic generator tuples with their cofactors and
 spanning sets, and small brute-force oracles used to cross-check the
 algebra by enumeration.
 
-Only the oracles need numpy.  Their exports are resolved on first
-access (PEP 562), so importing the package, or any of the structural
-modules, does not load :mod:`artifact.oracle` or numpy.
+``_EXPORTS`` lists each public name once, under the module that
+defines it.  A name, or a module name from the table, resolves on first
+access (PEP 562) by importing that module, so ``import artifact``
+compiles no submodule: ``artifact.RingContext`` loads only
+:mod:`artifact.errors` and :mod:`artifact.galois`, and numpy, which
+only the oracles need, loads with the first oracle name.
 """
-
-from .errors import (DEFAULT_BUDGET, ArtifactError, BudgetExceeded,
-                     CheckFailed, ContextMismatch, DivisionByZero,
-                     DivisorNotUnitLeading, FrobeniusIncompatible,
-                     InvalidArgument, MissingComponent, NotACode,
-                     NotBasicIrreducible, NotMonic, NotPrimitive,
-                     NotRightDivisible, NotUnit, OrthogonalityCheckFailed,
-                     ParseError, ShapeMismatch, TrivialCode)
-from .galois import AutomorphismSpec, FieldElem, RingContext, RingElem
-from .mixedcode import (CodeType, MixedMatrix, MixedWord,
-                        StandardFormResult, inner_product, parity_check,
-                        standard_form, syndrome)
-from .skewcyclic import (ConditionCheck, SkewGenerators, SpanningSet,
-                         ValidationReport, analyse_generators,
-                         derive_cofactors, skew_closed,
-                         skew_code_cardinality, spanning_set, theta_shift,
-                         validate_generators)
-from .skewpoly import SkewPoly, right_divides
-from .textio import (emit_gens, emit_matrix, int_poly_str, parse_element,
-                     parse_gens, parse_int_poly, parse_matrix, parse_poly)
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ArtifactError", "AutomorphismSpec", "BudgetExceeded", "CheckFailed",
-    "Classification", "CodeType", "ConditionCheck", "ContextMismatch",
-    "DEFAULT_BUDGET", "DivisionByZero", "DivisorNotUnitLeading",
-    "EnumeratedCode", "FieldElem", "FrobeniusIncompatible", "InvalidArgument",
-    "MissingComponent", "MixedMatrix", "MixedWord", "NotACode",
-    "NotBasicIrreducible", "NotMonic", "NotPrimitive", "NotRightDivisible",
-    "NotUnit", "OrthogonalityCheckFailed", "ParseError", "RingContext",
-    "RingElem", "ShapeMismatch", "SkewGenerators", "SkewPoly", "SpanningSet",
-    "StandardFormResult", "TrivialCode", "ValidationReport",
-    "analyse_generators", "brute_force_dual", "classify_z4_skew_cyclic",
-    "derive_cofactors", "emit_gens", "emit_matrix", "inner_product",
-    "int_poly_str", "is_skew_cyclic", "min_hamming_distance", "parity_check",
-    "parse_element", "parse_gens", "parse_int_poly", "parse_matrix",
-    "parse_poly", "right_divides", "skew_closed", "skew_code_cardinality",
-    "span_closure", "spanning_set", "standard_form", "syndrome", "theta_shift",
-    "validate_generators",
-]
+_EXPORTS = {
+    "errors": (
+        "DEFAULT_BUDGET", "ArtifactError", "NotMonic", "NotBasicIrreducible",
+        "NotPrimitive", "FrobeniusIncompatible", "ContextMismatch",
+        "NotUnit", "InvalidArgument", "ShapeMismatch", "DivisionByZero",
+        "DivisorNotUnitLeading", "OrthogonalityCheckFailed",
+        "MissingComponent", "NotRightDivisible", "CheckFailed",
+        "BudgetExceeded", "NotACode", "TrivialCode", "ParseError"),
+    "galois": ("RingContext", "RingElem", "FieldElem", "AutomorphismSpec",
+               "int_poly_str"),
+    "mixedcode": ("MixedWord", "MixedMatrix", "CodeType",
+                  "StandardFormResult", "inner_product", "standard_form",
+                  "syndrome", "parity_check"),
+    "skewcyclic": (
+        "SkewGenerators", "ConditionCheck", "ValidationReport",
+        "SpanningSet", "theta_shift", "skew_closed", "analyse_generators",
+        "validate_generators", "derive_cofactors", "spanning_set",
+        "skew_code_cardinality"),
+    "skewpoly": ("SkewPoly", "right_divides"),
+    "textio": ("parse_element", "parse_poly", "parse_int_poly",
+               "parse_matrix", "parse_gens", "emit_matrix", "emit_gens"),
+    "oracle": ("EnumeratedCode", "span_closure", "brute_force_dual",
+               "is_skew_cyclic", "classify_z4_skew_cyclic", "Classification",
+               "min_hamming_distance"),
+}
 
-_ORACLE_EXPORTS = frozenset({
-    "Classification", "EnumeratedCode", "brute_force_dual",
-    "classify_z4_skew_cyclic", "is_skew_cyclic", "min_hamming_distance",
-    "span_closure",
-})
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
 
 
 def __getattr__(name):
-    if name in _ORACLE_EXPORTS:
-        from . import oracle
-        return getattr(oracle, name)
+    for module, names in _EXPORTS.items():
+        if name == module or name in names:
+            loaded = __import__(module, globals(), level=1)
+            return loaded if name == module else getattr(loaded, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | _ORACLE_EXPORTS)
+    return sorted(set(globals()) | set(_EXPORTS) | set(__all__))

@@ -10,7 +10,8 @@ budget exceeded.  Table and JSON use the same canonical element strings.
 
 Only ``enumerate``, ``classify-z4`` and ``verify-paper`` load
 :mod:`artifact.oracle`, and with it numpy, so the algebraic commands,
-``is-skew-cyclic`` among them, start without it.
+``is-skew-cyclic`` among them, start without it.  Likewise only
+``verify-paper`` loads :mod:`artifact.reference`.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ import argparse
 import json
 import sys
 
-from .errors import DEFAULT_BUDGET, ArtifactError, BudgetExceeded, ParseError
-from .galois import AutomorphismSpec, RingContext
+from .errors import (DEFAULT_BUDGET, ArtifactError, BudgetExceeded, NotMonic,
+                     ParseError)
+from .galois import AutomorphismSpec, RingContext, int_poly_str
 from .mixedcode import parity_check, standard_form
-from .reference import checks
 from .skewcyclic import (analyse_generators, derive_cofactors,
                          skew_closed, spanning_set, validate_generators)
-from .textio import (emit_matrix, int_poly_str, parse_element, parse_gens,
-                     parse_int_poly, parse_matrix, parse_poly)
+from .textio import (emit_matrix, parse_element, parse_gens, parse_int_poly,
+                     parse_matrix, parse_poly)
 
 __all__ = ["main"]
 
@@ -37,9 +38,12 @@ _DEFAULT_H = {1: (1, 1), 2: (1, 1, 1), 3: (3, 1, 2, 1)}
 def _context(args) -> RingContext:
     if args.h is not None:
         return RingContext(args.m, parse_int_poly(args.h))
-    if args.m in _DEFAULT_H:
-        return RingContext(args.m, _DEFAULT_H[args.m])
-    raise ArtifactError(f"no default modulus for m={args.m}; pass --h")
+    try:
+        # RingContext checks m before h, so it names a degree out of range.
+        return RingContext(args.m, _DEFAULT_H.get(args.m, ()))
+    except NotMonic:
+        raise ArtifactError(
+            f"no default modulus for m={args.m}; pass --h") from None
 
 
 def _read(path: str) -> str:
@@ -186,6 +190,7 @@ def _cmd_classify_z4(args):
 
 
 def _cmd_verify_paper(args):
+    from .reference import checks
     lines, entries = [], []
     for name, compute, expected in checks():
         try:

@@ -84,7 +84,6 @@ from .mixedcode import MixedMatrix, MixedWord
 from .skewpoly import SkewPoly
 
 __all__ = [
-    "DEFAULT_BUDGET",
     "EnumeratedCode",
     "span_closure",
     "brute_force_dual",
@@ -260,32 +259,26 @@ class _Codec:
             plan = self.plans[name] = self.plan(*build(), self.group)
         return plan
 
-    def map(self, arr: np.ndarray, plan: list, reduce=None):
+    def map(self, arr: np.ndarray, plan: list) -> np.ndarray:
         """Sum over the groups of ``plan`` of ``table[(word >> src) & mask]``.
 
         Trailing table axes become trailing axes of the result.  Words
         go through in blocks of ``_BLOCK`` so that the temporaries stay
-        in cache.  With ``reduce``, each block's sums go through it as
-        soon as they exist and the list of its results is returned, so
-        the sums are never held for all words at once.
+        in cache.
         """
-        size = len(arr) if reduce is None else min(len(arr), _BLOCK)
-        out = np.empty((size,) + plan[0][2].shape[1:], dtype=self.dtype)
+        out = np.empty((len(arr),) + plan[0][2].shape[1:], dtype=self.dtype)
         # uint64 indices read as intp: a view, where an intp buffer would
         # convert them once per group.  Group indices stay below 2^63.
         col = np.empty(min(len(arr), _BLOCK), dtype=np.uint64)
-        reduced = []
         for lo in range(0, len(arr), _BLOCK):
             part = arr[lo:lo + _BLOCK]
-            acc = out[lo:lo + _BLOCK] if reduce is None else out[:len(part)]
+            acc = out[lo:lo + _BLOCK]
             acc.fill(0)
             idx = col[:len(part)]
             for src, mask, table in plan:
                 np.bitwise_and(part >> src, mask, out=idx, casting="unsafe")
                 acc += table[idx.view(np.intp)]
-            if reduce is not None:
-                reduced.append(reduce(acc))
-        return out if reduce is None else reduced
+        return out
 
     def multiples(self, arr: np.ndarray) -> np.ndarray:
         """The scalar multiples of every word: one row per word, with one
@@ -306,7 +299,8 @@ class _Codec:
         return self.map(arr, plan)
 
     def weights(self, arr: np.ndarray, reduce=None):
-        """Nonzero coordinates per word; ``reduce`` as in ``map``.
+        """Nonzero coordinates per word, or with ``reduce`` the list of its
+        results on each block's counts, which are never all held at once.
 
         ``x | (x >> step)`` with ``step <= cover`` widens the run of bits
         that each bit of ``x`` ORs together from ``cover`` to ``cover +

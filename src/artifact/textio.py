@@ -56,7 +56,6 @@ __all__ = [
     "parse_gens",
     "emit_matrix",
     "emit_gens",
-    "int_poly_str",
 ]
 
 _MAX_X_EXPONENT = 4096

@@ -72,16 +72,18 @@ def test_ctx_info_rejects_bad_modulus():
 
 
 def test_degree_below_one_names_its_error():
-    res = run_cli("ctx-info", "--m", "-1", "--h", "1")
-    assert res.returncode == 1
-    assert res.stderr == "InvalidArgument: degree m must be at least 1\n"
+    for args in (("--m", "-1", "--h", "1"), ("--m", "0")):
+        res = run_cli("ctx-info", *args)
+        assert res.returncode == 1
+        assert res.stderr == "InvalidArgument: degree m must be at least 1\n"
 
 
 def test_degree_above_sixteen_names_its_error(tmp_path):
-    res = run_cli("ctx-info", "--m", "64", "--h", "x^64+x^4+x^3+x+1")
-    assert res.returncode == 1
-    assert res.stderr == \
-        "InvalidArgument: degree m must be between 1 and 16\n"
+    for args in (("--m", "64", "--h", "x^64+x^4+x^3+x+1"), ("--m", "17")):
+        res = run_cli("ctx-info", *args)
+        assert res.returncode == 1
+        assert res.stderr == \
+            "InvalidArgument: degree m must be between 1 and 16\n"
     path = tmp_path / "code.gens"
     path.write_text("m: 40\nh: 1+x^40\nr: 1\ns: 1\n")
     res = run_cli("validate-gens", str(path))

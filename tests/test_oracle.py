@@ -638,14 +638,14 @@ class TestDualWitnesses:
         pairings, multiples = [], []
         mapping = oracle._Codec.map
 
-        def counted(codec, arr, plan, reduce=None):
+        def counted(codec, arr, plan):
             # Scalar multiples map at most codec.bits words a call; the
             # pairing maps both halves of the ambient space in one call.
             if plan is codec.plans.get("scaled"):
                 multiples.append([int(v) for v in arr])
             else:
                 pairings.append((len(arr), plan[0][2].shape[1:]))
-            return mapping(codec, arr, plan, reduce)
+            return mapping(codec, arr, plan)
 
         monkeypatch.setattr(oracle._Codec, "map", counted)
         assert brute_force_dual(dual) == code

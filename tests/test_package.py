@@ -1,4 +1,5 @@
-"""The package namespace: oracle exports resolve lazily, names stay put."""
+"""The package namespace: one export table, each name loaded with its
+module on first use."""
 
 import importlib
 import pkgutil
@@ -18,10 +19,14 @@ def test_every_export_resolves(name):
     assert name in dir(artifact)
 
 
-def test_oracle_exports_are_the_oracle_objects():
-    for name in artifact._ORACLE_EXPORTS:
-        assert getattr(artifact, name) is getattr(oracle, name)
-    assert artifact._ORACLE_EXPORTS <= set(artifact.__all__)
+def test_exports_are_their_home_modules_objects():
+    for module, names in artifact._EXPORTS.items():
+        home = importlib.import_module(f"artifact.{module}")
+        assert getattr(artifact, module) is home
+        for name in names:
+            obj = getattr(artifact, name)
+            assert obj is vars(home)[name], name
+            assert not callable(obj) or obj.__module__ == home.__name__, name
 
 
 def test_exports_agree_across_modules():
@@ -36,11 +41,17 @@ def test_exports_agree_across_modules():
     error_classes = {name for name, obj in vars(errors).items()
                      if isinstance(obj, type)
                      and issubclass(obj, errors.ArtifactError)}
-    union = set(error_classes).union(*(
+    union = (error_classes | {"DEFAULT_BUDGET"}).union(*(
         m.__all__ for m in (galois, mixedcode, skewcyclic, skewpoly, textio,
                             oracle)))
     assert set(artifact.__all__) == union
-    assert artifact._ORACLE_EXPORTS == set(oracle.__all__) - {"DEFAULT_BUDGET"}
+    # One home per name: each module's __all__ is its row of the table.
+    assert len(set(artifact.__all__)) == len(artifact.__all__)
+    for module in (galois, mixedcode, skewcyclic, skewpoly, textio, oracle):
+        row = artifact._EXPORTS[module.__name__.rpartition(".")[2]]
+        assert tuple(module.__all__) == row, module.__name__
+    assert set(artifact._EXPORTS["errors"]) == \
+        error_classes | {"DEFAULT_BUDGET"}
 
 
 def test_star_import_binds_every_export():
@@ -90,3 +101,46 @@ def test_oracle_import_leaves_dataclasses_unloaded():
     res = subprocess.run([sys.executable, "-c", script],
                          capture_output=True, text=True, check=True)
     assert res.stdout.split() == ["False"]
+
+
+def run_fresh(script):
+    """The lines ``script`` prints in a fresh interpreter, where
+    ``loaded()`` lists the ``artifact`` modules in ``sys.modules`` and
+    ``quiet`` silences stdout."""
+    prelude = ("import contextlib, io, sys\n"
+               "quiet = contextlib.redirect_stdout(io.StringIO())\n"
+               "def loaded():\n"
+               "    return [m for m in sorted(sys.modules)\n"
+               "            if m.split('.')[0] == 'artifact']\n")
+    res = subprocess.run([sys.executable, "-c", prelude + script],
+                         capture_output=True, text=True, check=True)
+    return res.stdout.splitlines()
+
+
+def test_import_loads_no_submodule():
+    assert run_fresh("import artifact\nprint(loaded())") == ["['artifact']"]
+
+
+def test_ring_context_loads_only_errors_and_galois():
+    script = ("import artifact\n"
+              "before = loaded()\n"
+              "artifact.RingContext\n"
+              "print([m for m in loaded() if m not in before])\n")
+    assert run_fresh(script) == ["['artifact.errors', 'artifact.galois']"]
+
+
+def test_module_name_resolves_to_the_submodule():
+    script = ("import artifact\n"
+              "print(artifact.textio is sys.modules['artifact.textio'])\n")
+    assert run_fresh(script) == ["True"]
+
+
+def test_only_verify_paper_loads_the_reference_data():
+    script = ("from artifact import cli\n"
+              "with quiet:\n"
+              "    cli.main(['ctx-info', '--m', '2'])\n"
+              "print('artifact.reference' in sys.modules)\n"
+              "with quiet:\n"
+              "    cli.main(['verify-paper'])\n"
+              "print('artifact.reference' in sys.modules)\n")
+    assert run_fresh(script) == ["False", "True"]
