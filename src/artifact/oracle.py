@@ -20,13 +20,13 @@ bits, kept while it holds at most ``2**12`` entries (``2**10`` past 64
 bits, whose entries are Python ints), so a sum of lookups stays the
 same sum.  One codec per (context, r, s) shape is cached, and it keeps
 these grouped plans for the fixed table kinds (scalar multiples, each
-Frobenius shift, the classifier's key); the dual's pairing tables
-depend on its generators and go through the same loop one coordinate
-per lookup.  Weights need no table: each coordinate's bits are ORed
-down onto its lowest bit, and the bit count of those lowest bits is the
-number of nonzero coordinates.  Whole-array passes run in blocks of
-``_BLOCK`` words.  Stored word sets stay a sorted ``np.uint64`` array,
-or a sorted tuple of ints for wide words.
+Frobenius shift); the dual's pairing tables depend on its generators
+and go through the same loop one coordinate per lookup.  Weights need
+no table: each coordinate's bits are ORed down onto its lowest bit, and
+the bit count of those lowest bits is the number of nonzero
+coordinates.  Whole-array passes run in blocks of ``_BLOCK`` words.
+Stored word sets stay a sorted ``np.uint64`` array, or a sorted tuple
+of ints for wide words.
 
 Every span is built by one loop over packed words, ``_close``, in
 rounds: a round drops the words the span holds and grows the span by
@@ -148,7 +148,7 @@ class _Codec:
         m = ctx.m
         self.ctx, self.r, self.s = ctx, r, s
         self.bits = m * r + 2 * m * s
-        self.q_width = 2 * m * s
+        q_width = 2 * m * s
         self.vector = self.bits <= 64
         self.dtype = np.uint64 if self.vector else object
         self.group = _GROUP if self.vector else _GROUP >> 2
@@ -158,7 +158,7 @@ class _Codec:
         self.low_mask = word(sum(1 << (2 * j) for j in range(m * s)))
         self.one = word(1)
         quat = [word(2 * m * j) for j in range(s)]
-        binary = [word(self.q_width + m * i) for i in range(r)]
+        binary = [word(q_width + m * i) for i in range(r)]
         self.offsets = quat + binary
         self.widths = self.per_coord(2 * m, m)
         self.word = word
@@ -193,23 +193,20 @@ class _Codec:
     def encode(self, w: MixedWord) -> int:
         if w.ctx != self.ctx or w.r != self.r or w.s != self.s:
             raise ShapeMismatch("word does not fit this code's shape")
-        ctx, m = self.ctx, self.ctx.m
-        acc = 0
+        ctx, acc = self.ctx, 0
         for j, b in enumerate(w.beta):
-            acc |= ctx.ring_index(b) << (2 * m * j)
-        for i, a in enumerate(w.alpha):
-            acc |= ctx.field_index(a) << (self.q_width + m * i)
+            acc |= ctx.ring_index(b) << int(self.offsets[j])
+        for i, a in enumerate(w.alpha, self.s):
+            acc |= ctx.field_index(a) << int(self.offsets[i])
         return acc
 
     def decode(self, packed: int) -> MixedWord:
-        ctx, m = self.ctx, self.ctx.m
-        beta = [ctx.ring_from_index(
-            (packed >> (2 * m * j)) & ((1 << (2 * m)) - 1))
-            for j in range(self.s)]
-        alpha = [ctx.field_from_index(
-            (packed >> (self.q_width + m * i)) & ((1 << m) - 1))
-            for i in range(self.r)]
-        return MixedWord(ctx, alpha, beta)
+        ctx = self.ctx
+        indices = [(packed >> int(src)) & int(mask)
+                   for src, mask in zip(self.offsets, self.masks)]
+        return MixedWord(ctx, [ctx.field_from_index(v)
+                               for v in indices[self.s:]],
+                         [ctx.ring_from_index(v) for v in indices[:self.s]])
 
     def array(self, words) -> np.ndarray:
         """Packed words (a stored word set, or any sequence) as an array."""
@@ -298,9 +295,9 @@ class _Codec:
                            self.tables["field_frob"][k]), self.rotated))
         return self.map(arr, plan)
 
-    def weights(self, arr: np.ndarray, reduce=None):
-        """Nonzero coordinates per word, or with ``reduce`` the list of its
-        results on each block's counts, which are never all held at once.
+    def weights(self, arr: np.ndarray):
+        """Nonzero coordinates per word, one count array per ``_BLOCK``
+        words, so the counts are never all held at once.
 
         ``x | (x >> step)`` with ``step <= cover`` widens the run of bits
         that each bit of ``x`` ORs together from ``cover`` to ``cover +
@@ -310,31 +307,13 @@ class _Codec:
         quaternary ones at ``2m``, and the weight is the bit count of
         the lowest bits read.  No region needs a mask.
         """
-        out = np.empty(len(arr) if reduce is None else 0,
-                       dtype=np.uint8 if self.vector else object)
-        reduced = []
         for lo in range(0, len(arr), _BLOCK):
             x, found = arr[lo:lo + _BLOCK], 0
             for steps, lows in self.fold:
                 for step in steps:
                     x = x | (x >> step)
                 found = found | (x & lows)
-            count = np.bitwise_count(found)
-            if reduce is None:
-                out[lo:lo + _BLOCK] = count
-            else:
-                reduced.append(reduce(count))
-        return out if reduce is None else reduced
-
-    def ascending(self, arr: np.ndarray) -> np.ndarray:
-        """Quaternary words (``r = 0``) with their coordinates reversed.
-
-        These keys order words by their coefficients from ``x^0`` upward.
-        """
-        plan = self._planned("ascending", lambda: (
-            [np.arange(4 ** self.ctx.m).astype(self.dtype)] * self.s,
-            self.offsets[::-1]))
-        return self.map(arr, plan)
+            yield np.bitwise_count(found)
 
 
 # Passes on one shape in one process reuse its codec and plans: a span
@@ -631,8 +610,12 @@ def classify_z4_skew_cyclic(code, autom: AutomorphismSpec) -> Classification:
     whose leading coefficient is 1 (for ``g + 2a``) or 2 (for ``2q``),
     the one whose coefficients, read from ``x^0`` upward, come first.
     In a module these are exactly the words normalised by their leading
-    unit, so only the one or two chosen words are decoded.  The
-    witnesses are verified to regenerate the input exactly.  They are
+    unit, so only the one or two chosen words are decoded.  Degree and
+    lead are read off the sorted array: coordinate ``j`` sits above the
+    ones before it, so packed words order by degree, then by lead.  The
+    words of degree ``d`` run from ``1 << offsets[d]`` up to the first
+    word of degree ``d + 1``, and ``word >> offsets[d]`` is their lead.
+    The witnesses are verified to regenerate the input exactly.  They are
     words of the input, so a code holds their skew closure: the
     regeneration stops, and the set is no code, once it would outgrow
     the input.
@@ -651,7 +634,6 @@ def classify_z4_skew_cyclic(code, autom: AutomorphismSpec) -> Classification:
     codec = code.codec
     if codec.r != 0:
         raise ShapeMismatch("classification applies to quaternary codes only")
-    ctx = codec.ctx
 
     arr = codec.array(code.packed)
     # Sorted: a nonzero word would come last, zero would come first.
@@ -660,60 +642,52 @@ def classify_z4_skew_cyclic(code, autom: AutomorphismSpec) -> Classification:
     if arr[0] != 0:
         raise NotACode("a code must contain the zero word")
 
-    # Per nonzero word: its degree (highest nonzero coordinate), whether
-    # its leading coefficient is a unit (has an odd coefficient), and
-    # whether every coefficient is even.
-    words = arr[1:]
-    odd = words & codec.low_mask
-    deg = np.zeros(len(words), dtype=np.intp)
-    unit = np.zeros(len(words), dtype=bool)
-    for j, (src, mask) in enumerate(zip(codec.offsets, codec.masks)):
-        nonzero = ((words >> src) & mask) != 0
-        deg[nonzero] = j
-        unit[nonzero] = ((odd[nonzero] >> src) & mask) != 0
-    doubled = odd == 0
-    # codec.ascending orders doubled words as their halves: the index of
-    # 2b is the index of b spread over the high bit of each pair.
-
+    # The words of degree d are arr[starts[d]:starts[d + 1]]; the last
+    # ends at len(arr), as 1 << bits overflows np.uint64 at 64 bits.
+    firsts = codec.array([codec.one << src for src in codec.offsets])
+    starts = [*np.searchsorted(arr, firsts).tolist(), len(arr)]
     witnesses = []
 
-    def least(select, degree: int, lead: int) -> SkewPoly:
-        """The first word, by ``codec.ascending``, of those in
-        ``words[select]`` (all of ``degree``) whose leading coordinate
-        has index ``lead``.  It joins ``witnesses``, and only it is
-        decoded, to its polynomial.
-
-        In a module each word of ``select`` has a unit multiple with
-        that lead, so finding none means the set is not one.
+    def least(cand, degree: int, lead: int) -> SkewPoly:
+        """The first word, by its coefficients from ``x^0`` upward, of
+        those in ``cand`` of ``degree`` whose leading coordinate has
+        index ``lead`` (1 and 2 are their own indices).  It joins
+        ``witnesses``, and only it is decoded, to its polynomial.  In a
+        module each word of ``degree`` in ``cand`` has a unit multiple
+        with that lead, so finding none means the set is not one.
         """
-        cand = words[select]
-        src, mask = codec.offsets[degree], codec.masks[degree]
-        cand = cand[((cand >> src) & mask) == lead]
+        cand = cand[(cand >> codec.offsets[degree]) == lead]
         if not len(cand):
             raise NotACode("the set lacks the scalar multiples of its words")
-        witnesses.append(cand[np.argmin(codec.ascending(cand))])
-        return SkewPoly(autom, codec.decode(int(witnesses[-1])).beta, True)
+        for src, mask in zip(codec.offsets[:degree], codec.masks):
+            col = (cand >> src) & mask
+            cand = cand[col == col.min()]
+        witnesses.append(cand[0])
+        return SkewPoly(autom, codec.decode(int(cand[0])).beta, True)
 
+    # The least degree whose slice holds a unit lead (an odd coefficient).
+    dmin = next((d for d, src in enumerate(codec.offsets)
+                 if ((arr[starts[d]:starts[d + 1]] >> src)
+                     & codec.low_mask).any()), None)
     g = a = q = None
-    if unit.any():
-        dmin = deg[unit].min()
-        case = "ii" if dmin == deg.min() else "iii"
-        cand = least(unit & (deg == dmin), dmin,
-                     ctx.ring_index(ctx.ring_one()))
+    if dmin is None:
+        case = "i"
+    else:
+        case = "ii" if starts[dmin] == starts[0] else "iii"
+        cand = least(arr[starts[dmin]:starts[dmin + 1]], dmin, 1)
         g = cand.mod2().lift()
         a = (cand - g).halve().lift()
-    else:
-        case = "i"
     if case != "ii":
         # In case i every word is doubled: rotating a unit coefficient to
         # the top would give a unit-leading word.  The least-degree
         # doubled words of lead 2 are the ones with monic halves.
-        if not doubled.any():
+        doubled = arr[(arr & codec.low_mask) == 0]
+        if len(doubled) < 2:
             raise NotACode("the set lacks the doubles of its words")
-        hmin = deg[doubled].min()
+        # doubled[0] is the zero word, doubled[1] one of the least degree.
+        hmin = int(np.searchsorted(firsts, doubled[1], "right")) - 1
         # The doubled word d is its own witness: 2 lift(halve(d)) = d.
-        q = least(doubled & (deg == hmin), hmin,
-                  ctx.ring_index(ctx.ring((2,)))).halve().lift()
+        q = least(doubled, hmin, 2).halve().lift()
 
     try:
         regen = _close(codec, codec.array(witnesses), autom, len(arr))[0]
@@ -738,4 +712,4 @@ def min_hamming_distance(code) -> int:
     arr = arr[np.searchsorted(arr, codec.one):]
     if len(arr) == 0:
         raise TrivialCode("no nonzero words")
-    return int(min(codec.weights(arr, reduce=np.min)))
+    return int(min(block.min() for block in codec.weights(arr)))

@@ -777,7 +777,7 @@ class TestGroupedPlans:
         shifted = codec.shift(arr, autom)
         assert [codec.decode(int(v)) for v in shifted] == \
             [theta_shift(w, autom) for w in words]
-        assert codec.weights(arr).tolist() == \
+        assert np.concatenate(list(codec.weights(arr))).tolist() == \
             [nonzero_count(w) for w in words]
 
     @pytest.mark.parametrize("ctx, r, s", _PLAN_SHAPES)
@@ -790,8 +790,8 @@ class TestGroupedPlans:
                    for src, width in zip(codec.offsets, codec.widths))
         words = [1 << b for b in range(codec.bits)] + \
             [(1 << codec.bits) - 1, tops]
-        assert codec.weights(codec.array(words)).tolist() == \
-            [1] * codec.bits + [r + s] * 2
+        assert np.concatenate(list(codec.weights(
+            codec.array(words)))).tolist() == [1] * codec.bits + [r + s] * 2
 
     @pytest.mark.parametrize("ctx, r, s", _PLAN_SHAPES)
     def test_groups_tile_the_word_within_the_bound(self, ctx, r, s):
@@ -894,6 +894,7 @@ class TestCodecCache:
                                               monkeypatch):
         # The regenerating skew closure used to rebuild its placed tables
         # in every map call, about 8 per job.
+        oracle._codec.cache_clear()
         code = span_closure([MixedWord.from_ints(ctx2, [], [1, 2, 1, 0])],
                             autom=autom2, skew=True)
         classify_z4_skew_cyclic(code, autom2)
@@ -904,6 +905,8 @@ class TestCodecCache:
         for _ in range(3):
             assert classify_z4_skew_cyclic(code, autom2).case == "ii"
         assert built == []
+        # Only the closure's plans: degree and lead need no table.
+        assert sorted(map(str, code.codec.plans)) == ["('frob', 1)", "scaled"]
 
     def test_cache_has_a_bound(self, ctx1):
         oracle._codec.cache_clear()
@@ -1154,6 +1157,26 @@ class TestClassifierPins:
         cls = classify_z4_skew_cyclic(code, autom)
         assert (cls.case, cls.g, cls.a, cls.q) == (case, g, a, q)
 
+    @pytest.mark.parametrize("rows, size, case", [
+        ([[1] * 33], 4, "ii"),
+        ([[2] * 33], 2, "i"),
+        # x^33 - 1 = (x^3 - 1)(1 + x^3 + ... + x^30) and x^3 - 1 =
+        # (x + 1)(1 + x + x^2), so (x^33 - 1) / (1 + x + x^2) mod 2 has
+        # the coefficients 1, 1, 0 repeating from x^0.
+        ([[1] * 33, [2 * (i % 3 != 2) for i in range(33)]], 16, "iii"),
+    ])
+    def test_object_layout_matches_decoding_every_word(self, rows, size,
+                                                       case):
+        # m = 1, s = 33: 66-bit words, held as Python ints.
+        autom = AutomorphismSpec(_CTX1, 1)
+        code = span_closure([MixedWord.from_ints(_CTX1, [], row)
+                             for row in rows], autom=autom, skew=True)
+        assert isinstance(code.packed, tuple) and len(code) == size
+        cls = classify_z4_skew_cyclic(code, autom)
+        assert (cls.case, cls.g, cls.a, cls.q, True) == \
+            naive_classify(code, autom)
+        assert cls.case == case
+
     def test_decodes_at_most_one_word_per_scalar(self, monkeypatch):
         code = span_closure(index_rows(_CTX2, [[12, 7, 0, 0]]), autom=_AUT2,
                             skew=True)
@@ -1229,10 +1252,11 @@ class TestMinimumDistance:
         calls, sizes = [], []
         weights = oracle._Codec.weights
 
-        def counted(codec, arr, reduce=None):
+        def counted(codec, arr):
             calls.append(len(arr))
-            return weights(codec, arr,
-                           lambda acc: sizes.append(len(acc)) or reduce(acc))
+            for block in weights(codec, arr):
+                sizes.append(len(block))
+                yield block
 
         monkeypatch.setattr(oracle._Codec, "weights", counted)
         assert min_hamming_distance(code) == best
